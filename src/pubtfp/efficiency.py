@@ -1,13 +1,12 @@
 """Cost minimization, allocative efficiency, and most-productive scale size.
 
-Everything here works on the technologies from :mod:`pubtfp.technology`.
-Cobb-Douglas problems are solved in closed form. CES and homothetic
-translog cost minimization first finds the capital-labor ratio that
-equates the marginal rate of technical substitution to the factor price
-ratio (bisection on the log ratio, where the condition is strictly
-monotone), then scales along that ray to reach the target isoquant. The
-most-productive scale size maximizes the ray average product by golden
-section search on the log scale.
+Everything here works on the technologies from :mod:`pubtfp.technology`,
+and every answer is a closed form. Cobb-Douglas cost minimization solves
+for all inputs at once. CES and homothetic translog cost minimization take
+the capital-labor ratio from the first-order condition MRTS = r/w, which
+is linear in ln(K/L) for both, then scale along that ray to the target
+isoquant. The most-productive scale size of a translog with curvature < 0
+is where its scale elasticity, linear in the log core index, equals 1.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NoConvergenceError, NoInteriorMpssError
+from .measurement import cost_based_value_added
 from .technology import (
     Ces,
     CobbDouglas,
@@ -35,13 +35,9 @@ __all__ = [
     "apply_technical_progress",
 ]
 
-# solver brackets and tolerances, in log space
-_LOG_RATIO_BRACKET = 40.0  # ln(K/L) searched over [-40, 40]
-_RATIO_TOL = 1e-10
-_RATIO_MAX_ITER = 200
-_LOG_SCALE_BRACKET = 20.0  # ln(scale) searched over [-20, 20]
-_SCALE_TOL = 1e-10
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# representable ranges, in log space
+_LOG_RATIO_BRACKET = 40.0  # cost-minimizing ln(K/L) must lie in [-40, 40]
+_LOG_SCALE_BRACKET = 20.0  # an interior ln(scale) must lie in (-20, 20)
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,7 @@ class MpssResult:
     ``scale_factor`` multiplies the reference bundle to reach
     ``bundle_at_mpss``; ``ray_average_product`` is output there divided by
     the scale factor. ``scale_elasticity`` at the optimum equals 1 up to
-    solver tolerance.
+    rounding.
     """
 
     scale_factor: float
@@ -99,36 +95,24 @@ def _cobb_douglas_min_cost(
     return CostMinResult(bundle=bundle, cost=t * total_alpha, target_output=target_output)
 
 
-def _log_mrts_at_ratio(tech: Technology, x: float) -> float:
-    """ln(MRTS) as a function of x = ln(K/L); strictly decreasing for both families."""
+def _cost_min_log_ratio(tech: Ces | HomotheticTranslog, prices: FactorPrices) -> float:
+    """x = ln(K/L) at which the MRTS equals capital_price / wage.
+
+    Both families share the first-order condition
+    ln(d/(1-d)) + (rho - 1) x = ln(r/w); the translog's core is a
+    Cobb-Douglas index, so it has d = inner_alpha_capital and rho = 0.
+    """
     if isinstance(tech, Ces):
-        w = tech.capital_weight
-        return math.log(w / (1.0 - w)) + (tech.substitution - 1.0) * x
-    if isinstance(tech, HomotheticTranslog):
-        a = tech.inner_alpha_capital
-        return math.log(a / (1.0 - a)) - x
-    raise DomainError(f"no ratio condition for family {tech.family!r}")
-
-
-def _solve_ratio(tech: Technology, prices: FactorPrices) -> float:
-    """Find x = ln(K/L) with MRTS(x) = capital_price / wage by bisection."""
-    target = math.log(prices.capital_price) - math.log(prices.wage)
-    lo, hi = -_LOG_RATIO_BRACKET, _LOG_RATIO_BRACKET
-    g_lo = _log_mrts_at_ratio(tech, lo) - target
-    g_hi = _log_mrts_at_ratio(tech, hi) - target
-    if g_lo < 0.0 or g_hi > 0.0:
+        d, rho = tech.capital_weight, tech.substitution
+    else:
+        d, rho = tech.inner_alpha_capital, 0.0
+    log_price_ratio = math.log(prices.capital_price) - math.log(prices.wage)
+    x = (math.log(d / (1.0 - d)) - log_price_ratio) / (1.0 - rho)
+    if abs(x) > _LOG_RATIO_BRACKET:
         raise NoConvergenceError(
             "factor price ratio lies outside the bracketed range of capital-labor ratios"
         )
-    for _ in range(_RATIO_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if _log_mrts_at_ratio(tech, mid) - target > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _RATIO_TOL:
-            return 0.5 * (lo + hi)
-    raise NoConvergenceError("capital-labor ratio search did not converge")
+    return x
 
 
 def _scale_to_isoquant(tech: Technology, direction: InputBundle, target_output: float) -> float:
@@ -165,12 +149,13 @@ def min_cost_bundle(
     if isinstance(tech, CobbDouglas):
         return _cobb_douglas_min_cost(tech, prices, target_output)
     if isinstance(tech, (Ces, HomotheticTranslog)):
-        x = _solve_ratio(tech, prices)
-        direction = InputBundle(math.exp(x), 1.0)
-        s = _scale_to_isoquant(tech, direction, target_output)
-        bundle = direction.scaled(s)
-        cost = prices.capital_price * bundle.capital + prices.wage * bundle.labor
-        return CostMinResult(bundle=bundle, cost=cost, target_output=target_output)
+        direction = InputBundle(math.exp(_cost_min_log_ratio(tech, prices)), 1.0)
+        bundle = direction.scaled(_scale_to_isoquant(tech, direction, target_output))
+        return CostMinResult(
+            bundle=bundle,
+            cost=cost_based_value_added(prices, bundle),
+            target_output=target_output,
+        )
     raise DomainError(f"cost minimization is not implemented for family {tech.family!r}")
 
 
@@ -185,15 +170,11 @@ def allocative_gap(tech: Technology, prices: FactorPrices, bundle: InputBundle) 
         raise DomainError("allocative gap is defined for value-added technologies only")
     if bundle.capital <= 0.0 or bundle.labor <= 0.0:
         raise DomainError("allocative gap requires strictly positive capital and labor")
-    actual_cost = prices.capital_price * bundle.capital + prices.wage * bundle.labor
+    actual_cost = cost_based_value_added(prices, bundle)
     target = tech.output(bundle)
     best = min_cost_bundle(tech, prices, target)
     # guard against ratios such as 1 + 1e-16 when the bundle is already optimal
     return min(best.cost / actual_cost, 1.0)
-
-
-def _ray_log_average_product(tech: Technology, bundle: InputBundle, x: float) -> float:
-    return math.log(tech.output(bundle.scaled(math.exp(x)))) - x
 
 
 def find_mpss(tech: Technology, ray_bundle: InputBundle) -> MpssResult:
@@ -202,7 +183,8 @@ def find_mpss(tech: Technology, ray_bundle: InputBundle) -> MpssResult:
     Maximizes output per unit of scale over scales in [e^-20, e^20]. The
     optimum is interior only when the scale elasticity crosses 1 from
     above along the ray, which rules out every constant-elasticity family;
-    those raise :class:`NoInteriorMpssError`.
+    those raise :class:`NoInteriorMpssError`. A translog with curvature < 0
+    is the only solvable family left, and its optimum is a closed form.
     """
     if ray_bundle.capital <= 0.0 or ray_bundle.labor <= 0.0:
         raise DomainError("scale search requires strictly positive capital and labor")
@@ -214,25 +196,9 @@ def find_mpss(tech: Technology, ray_bundle: InputBundle) -> MpssResult:
             f"along this ray (elasticity {eps_lo!r} at the lower bracket, "
             f"{eps_hi!r} at the upper)"
         )
-    lo, hi = -_LOG_SCALE_BRACKET, _LOG_SCALE_BRACKET
-    inner_lo = hi - _INV_GOLDEN * (hi - lo)
-    inner_hi = lo + _INV_GOLDEN * (hi - lo)
-    value_lo = _ray_log_average_product(tech, ray_bundle, inner_lo)
-    value_hi = _ray_log_average_product(tech, ray_bundle, inner_hi)
-    while hi - lo > _SCALE_TOL:
-        if value_lo >= value_hi:  # ties move left, keeping the smaller scale
-            hi = inner_hi
-            inner_hi = inner_lo
-            value_hi = value_lo
-            inner_lo = hi - _INV_GOLDEN * (hi - lo)
-            value_lo = _ray_log_average_product(tech, ray_bundle, inner_lo)
-        else:
-            lo = inner_lo
-            inner_lo = inner_hi
-            value_lo = value_hi
-            inner_hi = lo + _INV_GOLDEN * (hi - lo)
-            value_hi = _ray_log_average_product(tech, ray_bundle, inner_hi)
-    x_star = 0.5 * (lo + hi)
+    # the bracket check admits only a translog with curvature < 0, whose
+    # elasticity slope + 2*curvature*(u0 + x) equals 1 at a single x
+    x_star = (1.0 - tech.slope) / (2.0 * tech.curvature) - tech._log_core_index(ray_bundle)
     scale_factor = math.exp(x_star)
     scaled = ray_bundle.scaled(scale_factor)
     output = tech.output(scaled)

@@ -19,7 +19,7 @@ class DomainError(PubTfpError, ValueError):
 
 
 class NoConvergenceError(PubTfpError, RuntimeError):
-    """An iterative solver hit its iteration cap without converging."""
+    """A solver answer left its representable bracket or failed an identity check."""
 
 
 class NoInteriorMpssError(PubTfpError):

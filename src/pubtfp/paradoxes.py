@@ -19,7 +19,7 @@ paradox: measured TFP fell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from os import PathLike
 from typing import Iterable, Mapping, Union
 
@@ -37,6 +37,7 @@ from .measurement import (
     COST_BASED_VA,
     DISTORTED_REVENUE,
     PricingScheme,
+    cost_based_value_added,
     measured_tfp_cost_based,
     measured_tfp_revenue,
 )
@@ -80,8 +81,7 @@ class Tolerances:
     ``allocative_efficiency``: a bundle whose allocative gap is within this
     distance of 1 counts as already cost-minimizing.
     ``mpss_log_scale``: a rescaling within this distance of 1 in logs
-    counts as already at the best scale; it must stay above the scale
-    search's resolution near a flat optimum (about 1e-8).
+    counts as already at the best scale.
     ``identity_check``: relative tolerance on the internal identities the
     runners recompute as self-checks (isoquant preservation, the ray
     average product ratio).
@@ -92,22 +92,18 @@ class Tolerances:
     identity_check: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name in ("allocative_efficiency", "mpss_log_scale", "identity_check"):
-            value = float(getattr(self, name))
+        for f in fields(self):
+            value = float(getattr(self, f.name))
             if not math.isfinite(value) or value <= 0.0 or value >= 1.0:
-                raise InvalidParameterError(f"tolerance {name} must lie in (0, 1), got {value!r}")
+                raise InvalidParameterError(
+                    f"tolerance {f.name} must lie in (0, 1), got {value!r}"
+                )
 
     def replaced(self, overrides: Mapping[str, float]) -> "Tolerances":
-        unknown = set(overrides) - {"allocative_efficiency", "mpss_log_scale", "identity_check"}
+        unknown = set(overrides) - {f.name for f in fields(self)}
         if unknown:
             raise InvalidParameterError(f"unknown tolerance names: {sorted(unknown)!r}")
-        merged = {
-            "allocative_efficiency": self.allocative_efficiency,
-            "mpss_log_scale": self.mpss_log_scale,
-            "identity_check": self.identity_check,
-        }
-        merged.update(overrides)
-        return Tolerances(**merged)
+        return replace(self, **overrides)
 
 
 @dataclass(frozen=True)
@@ -195,16 +191,11 @@ def _true_level(tech: Technology, bundle: InputBundle) -> float:
     return true_tfp(tech.output(bundle), tech, bundle)
 
 
-def _factor_bill(prices: FactorPrices, bundle: InputBundle) -> float:
-    return prices.capital_price * bundle.capital + prices.wage * bundle.labor
-
-
 def run_paradox_1(
     tech: Technology,
     bundle: InputBundle,
     prices: FactorPrices,
     shift: TechnologyShift,
-    tolerances: Tolerances = Tolerances(),
 ) -> ParadoxReport:
     """Technical progress: the frontier rises, spending does not, measured TFP falls."""
     before = EconomyState(tech, bundle, prices=prices)
@@ -267,7 +258,7 @@ def run_paradox_2(
         after=after,
         details={
             "allocative_gap": gap,
-            "cost_before": _factor_bill(prices, initial_bundle),
+            "cost_before": cost_based_value_added(prices, initial_bundle),
             "cost_after": best.cost,
         },
     )
@@ -352,7 +343,6 @@ def run_paradox_4(
     bundle: InputBundle,
     prices_before: FactorPrices,
     prices_after: FactorPrices,
-    tolerances: Tolerances = Tolerances(),
 ) -> ParadoxReport:
     """Cheaper inputs: production is untouched, the factor bill shrinks."""
     if not (
@@ -382,8 +372,8 @@ def run_paradox_4(
         before=before,
         after=after,
         details={
-            "cost_before": _factor_bill(prices_before, bundle),
-            "cost_after": _factor_bill(prices_after, bundle),
+            "cost_before": cost_based_value_added(prices_before, bundle),
+            "cost_after": cost_based_value_added(prices_after, bundle),
         },
     )
 
@@ -393,7 +383,6 @@ def run_paradox_5(
     pricing_after: PricingScheme,
     tech: Technology,
     bundle: InputBundle,
-    tolerances: Tolerances = Tolerances(),
 ) -> ParadoxReport:
     """Markup regulation: revenue falls with quantities and costs untouched."""
     if len(pricing_after.items) != len(pricing_before.items):
@@ -466,25 +455,17 @@ def run_scenario(scenario: Scenario, tolerances: Tolerances = Tolerances()) -> P
             + ", ".join(parts)
         )
     if scenario.paradox_id == 1:
-        return run_paradox_1(
-            scenario.technology, scenario.bundle, scenario.prices, scenario.shift, tolerances
-        )
+        return run_paradox_1(scenario.technology, scenario.bundle, scenario.prices, scenario.shift)
     if scenario.paradox_id == 2:
         return run_paradox_2(scenario.technology, scenario.prices, scenario.bundle, tolerances)
     if scenario.paradox_id == 3:
         return run_paradox_3(scenario.technology, scenario.prices, scenario.bundle, tolerances)
     if scenario.paradox_id == 4:
         return run_paradox_4(
-            scenario.technology,
-            scenario.bundle,
-            scenario.prices,
-            scenario.prices_after,
-            tolerances,
+            scenario.technology, scenario.bundle, scenario.prices, scenario.prices_after
         )
     pricing_after = scenario.pricing.with_markups(scenario.markups_after)
-    return run_paradox_5(
-        scenario.pricing, pricing_after, scenario.technology, scenario.bundle, tolerances
-    )
+    return run_paradox_5(scenario.pricing, pricing_after, scenario.technology, scenario.bundle)
 
 
 def run_all(

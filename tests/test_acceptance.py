@@ -85,11 +85,11 @@ def test_criterion_02_allocative_instance_with_grid_oracle(criterion):
 def test_criterion_03_scale_instance(criterion):
     with criterion(3, "scale move: factor e, measured x e^-0.1, elasticity 1 at the peak"):
         mpss = find_mpss(TRANSLOG, UNIT_BUNDLE)
-        assert mpss.scale_factor == pytest.approx(math.e, abs=1e-7)
-        assert mpss.scale_elasticity == pytest.approx(1.0, abs=1e-7)
+        assert mpss.scale_factor == pytest.approx(math.e, rel=1e-12)
+        assert mpss.scale_elasticity == pytest.approx(1.0, rel=1e-12)
         report = run_paradox_3(TRANSLOG, UNIT_PRICES, UNIT_BUNDLE)
         ratio = report.measured_after / report.measured_before
-        assert ratio == pytest.approx(math.exp(-0.1), abs=1e-7)
+        assert ratio == pytest.approx(math.exp(-0.1), rel=1e-12)
         assert report.paradox_confirmed
 
 

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pubtfp.efficiency import (
     allocative_gap,
@@ -22,6 +24,26 @@ from pubtfp.technology import (
 )
 
 UNIT_PRICES = FactorPrices(1.0, 1.0)
+
+# Parameter draws for the closed-form property tests. With 1 - rho >= 0.2
+# and prices within a factor of 100 of each other, the cost-minimizing
+# |ln(K/L)| stays below 38, inside the solver's representable bracket.
+weights = st.floats(0.05, 0.95)
+factor_prices = st.builds(FactorPrices, st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+ces_technologies = st.builds(
+    Ces,
+    capital_weight=weights,
+    substitution=st.one_of(st.floats(-5.0, -0.05), st.floats(0.05, 0.8)),
+    returns_to_scale=st.floats(0.5, 1.5),
+    level=st.floats(0.5, 3.0),
+)
+curved_translogs = st.builds(
+    HomotheticTranslog,
+    inner_alpha_capital=weights,
+    slope=st.floats(0.3, 3.0),
+    curvature=st.floats(-0.5, -0.1),
+    level=st.floats(0.5, 3.0),
+)
 
 
 class TestCobbDouglasMinCost:
@@ -108,6 +130,22 @@ class TestCesMinCost:
         with pytest.raises(NoConvergenceError):
             min_cost_bundle(tech, FactorPrices(1e40, 1e-5), 1.0)
 
+    # with d = 1/2 and rho = -1 the optimal ln(K/L) is -ln(r/w)/2, so these
+    # price ratios put it 0.05 inside and 0.05 outside the |ln(K/L)| <= 40 bracket
+    @pytest.mark.parametrize("log_price_ratio", [79.9, -79.9])
+    def test_ratio_just_inside_the_bracket_solves(self, log_price_ratio):
+        tech = Ces(capital_weight=0.5, substitution=-1.0)
+        result = min_cost_bundle(tech, FactorPrices(math.exp(log_price_ratio), 1.0), 1.0)
+        log_ratio = math.log(result.bundle.capital / result.bundle.labor)
+        assert log_ratio == pytest.approx(-log_price_ratio / 2.0, rel=1e-12)
+        assert evaluate(tech, result.bundle) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("log_price_ratio", [80.1, -80.1])
+    def test_ratio_just_outside_the_bracket_fails_loudly(self, log_price_ratio):
+        tech = Ces(capital_weight=0.5, substitution=-1.0)
+        with pytest.raises(NoConvergenceError, match="outside the bracketed range"):
+            min_cost_bundle(tech, FactorPrices(math.exp(log_price_ratio), 1.0), 1.0)
+
 
 class TestTranslogMinCost:
     tech = HomotheticTranslog(inner_alpha_capital=0.5, slope=1.2, curvature=-0.1)
@@ -136,6 +174,38 @@ class TestTranslogMinCost:
         )
         with pytest.raises(DomainError):
             min_cost_bundle(nested, UNIT_PRICES, 1.0)
+
+
+class TestClosedFormProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(tech=ces_technologies, prices=factor_prices, target=st.floats(0.1, 10.0))
+    def test_ces_optimum_is_on_the_isoquant_with_mrts_at_price_ratio(self, tech, prices, target):
+        result = min_cost_bundle(tech, prices, target)
+        assert evaluate(tech, result.bundle) == pytest.approx(target, rel=1e-12)
+        ratio = prices.capital_price / prices.wage
+        assert mrts(tech, result.bundle) == pytest.approx(ratio, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tech=curved_translogs, prices=factor_prices, share=st.floats(-2.0, 0.99))
+    def test_translog_optimum_is_on_the_isoquant_with_mrts_at_price_ratio(
+        self, tech, prices, share
+    ):
+        # log targets up to 99% of the frontier maximum -slope^2/(4 curvature)
+        target = tech.level * math.exp(-share * tech.slope**2 / (4.0 * tech.curvature))
+        result = min_cost_bundle(tech, prices, target)
+        assert evaluate(tech, result.bundle) == pytest.approx(target, rel=1e-12)
+        ratio = prices.capital_price / prices.wage
+        assert mrts(tech, result.bundle) == pytest.approx(ratio, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tech=curved_translogs,
+        capital=st.floats(0.1, 10.0),
+        labor=st.floats(0.1, 10.0),
+    )
+    def test_translog_mpss_has_unit_scale_elasticity(self, tech, capital, labor):
+        result = find_mpss(tech, InputBundle(capital, labor))
+        assert result.scale_elasticity == pytest.approx(1.0, rel=0.0, abs=1e-12)
 
 
 class TestAllocativeGap:
@@ -180,16 +250,16 @@ class TestFindMpss:
         # ray average product peaks where the log core index hits
         # (1 - slope)/(2 curvature) = 1, so from K = L = 1 the factor is e
         result = find_mpss(self.tech, InputBundle(1.0, 1.0))
-        assert result.scale_factor == pytest.approx(math.e, abs=1e-7)
-        assert result.scale_elasticity == pytest.approx(1.0, abs=1e-7)
-        assert result.output == pytest.approx(math.exp(1.1), rel=1e-7)
-        assert result.ray_average_product == pytest.approx(math.exp(0.1), rel=1e-7)
+        assert result.scale_factor == pytest.approx(math.e, rel=1e-12)
+        assert result.scale_elasticity == pytest.approx(1.0, rel=1e-12)
+        assert result.output == pytest.approx(math.exp(1.1), rel=1e-12)
+        assert result.ray_average_product == pytest.approx(math.exp(0.1), rel=1e-12)
 
     def test_scales_down_to_the_peak_from_above(self):
         start = InputBundle(math.e**2, math.e**2)
         result = find_mpss(self.tech, start)
-        assert result.scale_factor == pytest.approx(math.exp(-1.0), abs=1e-7)
-        assert result.bundle_at_mpss.capital == pytest.approx(math.e, rel=1e-7)
+        assert result.scale_factor == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert result.bundle_at_mpss.capital == pytest.approx(math.e, rel=1e-12)
 
     def test_peak_beats_nearby_scales(self):
         result = find_mpss(self.tech, InputBundle(2.0, 0.5))

@@ -112,9 +112,9 @@ class TestScaleParadox:
     def test_canonical_scale_up(self):
         report = run_paradox_3(TRANSLOG, UNIT_PRICES, UNIT_BUNDLE)
         assert report.paradox_id == 3
-        assert report.details["mpss_scale_factor"] == pytest.approx(math.e, abs=1e-7)
+        assert report.details["mpss_scale_factor"] == pytest.approx(math.e, rel=1e-12)
         ratio = report.measured_after / report.measured_before
-        assert ratio == pytest.approx(math.exp(-0.1), rel=1e-7)
+        assert ratio == pytest.approx(math.exp(-0.1), rel=1e-12)
         assert report.welfare_direction == WELFARE_IMPROVED
         assert report.paradox_confirmed
         assert report.details["output_ratio"] > report.details["mpss_scale_factor"]
@@ -122,9 +122,9 @@ class TestScaleParadox:
     def test_scale_down_from_above_the_peak(self):
         start = InputBundle(math.e**2, math.e**2)
         report = run_paradox_3(TRANSLOG, UNIT_PRICES, start)
-        assert report.details["mpss_scale_factor"] == pytest.approx(math.exp(-1.0), abs=1e-7)
+        assert report.details["mpss_scale_factor"] == pytest.approx(math.exp(-1.0), rel=1e-12)
         ratio = report.measured_after / report.measured_before
-        assert ratio == pytest.approx(math.exp(-0.1), rel=1e-7)
+        assert ratio == pytest.approx(math.exp(-0.1), rel=1e-12)
         assert report.paradox_confirmed
 
     def test_bundle_already_at_best_scale_is_a_fixed_point(self):
