@@ -34,7 +34,8 @@ from .errors import (
     PanelSchemaError,
     SeriesError,
 )
-from .technology import InputBundle, Technology
+from .measurement import cost_based_value_added
+from .technology import FactorPrices, InputBundle, Technology
 
 __all__ = [
     "PANEL_COLUMNS",
@@ -294,7 +295,8 @@ def ingest_panel(path: str | Path) -> list[PanelObservation]:
     sorted by country, industry, and year.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports often carry
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         missing = [name for name in PANEL_COLUMNS if name not in header]
@@ -430,8 +432,8 @@ def simulate_sna_panel(spec: SimulationSpec) -> list[PanelObservation]:
     for step in range(spec.years):
         current = spec.technology.with_level(spec.levels[step])
         bundle = InputBundle(capital=spec.capital[step], labor=spec.labor[step])
-        factor_bill = (
-            spec.capital_price[step] * bundle.capital + spec.wage[step] * bundle.labor
+        factor_bill = cost_based_value_added(
+            FactorPrices(spec.capital_price[step], spec.wage[step]), bundle
         )
         if spec.convention == "market":
             output = current.output(bundle)

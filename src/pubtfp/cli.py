@@ -321,7 +321,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     config = _config_from_args(args)
     try:
         return _HANDLERS[config.command](config)
-    except NoConvergenceError as exc:
+    except (NoConvergenceError, ArithmeticError) as exc:
         print(f"pubtfp: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
     except PubTfpError as exc:

@@ -123,8 +123,7 @@ def _scale_to_isoquant(tech: Technology, direction: InputBundle, target_output: 
     if isinstance(tech, HomotheticTranslog):
         b, c = tech.slope, tech.curvature
         log_target = math.log(target_output) - math.log(tech.level)
-        a = tech.inner_alpha_capital
-        u0 = a * math.log(direction.capital) + (1.0 - a) * math.log(direction.labor)
+        u0 = tech._log_core_index(direction)
         if c == 0.0:
             return math.exp(log_target / b - u0)
         disc = b * b + 4.0 * c * log_target

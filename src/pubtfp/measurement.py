@@ -170,6 +170,10 @@ class MeasuredTfp:
 
 
 def _ratio(numerator: float, denominator: float, convention: str) -> MeasuredTfp:
+    # checked before dividing, in MeasuredTfp's order, so a zero frontier
+    # output is an invalid measurement rather than a ZeroDivisionError
+    _positive("numerator", numerator)
+    _positive("denominator", denominator)
     return MeasuredTfp(
         value=numerator / denominator,
         convention=convention,

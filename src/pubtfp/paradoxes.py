@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from os import PathLike
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .efficiency import allocative_gap, apply_technical_progress, find_mpss, min_cost_bundle
 from .errors import (
@@ -34,10 +34,8 @@ from .errors import (
     ScenarioError,
 )
 from .measurement import (
-    COST_BASED_VA,
-    DISTORTED_REVENUE,
+    MeasuredTfp,
     PricingScheme,
-    cost_based_value_added,
     measured_tfp_cost_based,
     measured_tfp_revenue,
 )
@@ -191,6 +189,42 @@ def _true_level(tech: Technology, bundle: InputBundle) -> float:
     return true_tfp(tech.output(bundle), tech, bundle)
 
 
+class _Measured(NamedTuple):
+    """An economy state and its measured TFP under the state's convention."""
+
+    state: EconomyState
+    tfp: MeasuredTfp
+
+
+def _measure(state: EconomyState) -> _Measured:
+    """Distorted revenue for a state that carries pricing, cost-based value added otherwise."""
+    if state.pricing is not None:
+        return _Measured(state, measured_tfp_revenue(state.pricing, state.technology, state.bundle))
+    return _Measured(state, measured_tfp_cost_based(state.prices, state.bundle, state.technology))
+
+
+def _compare(
+    paradox_id: int,
+    before: _Measured,
+    after: _Measured,
+    welfare_direction: str,
+    details: dict[str, float],
+) -> ParadoxReport:
+    """Report one before/after pair: the convention and measured TFP come from the measurements."""
+    return ParadoxReport(
+        paradox_id=paradox_id,
+        convention=before.tfp.convention,
+        measured_before=before.tfp.value,
+        measured_after=after.tfp.value,
+        true_tfp_before=_true_level(before.state.technology, before.state.bundle),
+        true_tfp_after=_true_level(after.state.technology, after.state.bundle),
+        welfare_direction=welfare_direction,
+        before=before.state,
+        after=after.state,
+        details=details,
+    )
+
+
 def run_paradox_1(
     tech: Technology,
     bundle: InputBundle,
@@ -198,27 +232,9 @@ def run_paradox_1(
     shift: TechnologyShift,
 ) -> ParadoxReport:
     """Technical progress: the frontier rises, spending does not, measured TFP falls."""
-    before = EconomyState(tech, bundle, prices=prices)
-    measured_before = measured_tfp_cost_based(prices, bundle, tech)
-    true_before = _true_level(tech, bundle)
-
-    improved = apply_technical_progress(tech, shift)
-    after = EconomyState(improved, bundle, prices=prices)
-    measured_after = measured_tfp_cost_based(prices, bundle, improved)
-    true_after = _true_level(improved, bundle)
-
-    return ParadoxReport(
-        paradox_id=1,
-        convention=COST_BASED_VA,
-        measured_before=measured_before.value,
-        measured_after=measured_after.value,
-        true_tfp_before=true_before,
-        true_tfp_after=true_after,
-        welfare_direction=WELFARE_IMPROVED,
-        before=before,
-        after=after,
-        details={"shift_factor": shift.factor},
-    )
+    before = _measure(EconomyState(tech, bundle, prices=prices))
+    after = _measure(EconomyState(apply_technical_progress(tech, shift), bundle, prices=prices))
+    return _compare(1, before, after, WELFARE_IMPROVED, {"shift_factor": shift.factor})
 
 
 def run_paradox_2(
@@ -241,27 +257,10 @@ def run_paradox_2(
             f"cost minimizer left the isoquant: output {reached!r} for target {target!r}"
         )
 
-    before = EconomyState(tech, initial_bundle, prices=prices)
-    after = EconomyState(tech, best.bundle, prices=prices)
-    measured_before = measured_tfp_cost_based(prices, initial_bundle, tech)
-    measured_after = measured_tfp_cost_based(prices, best.bundle, tech)
-
-    return ParadoxReport(
-        paradox_id=2,
-        convention=COST_BASED_VA,
-        measured_before=measured_before.value,
-        measured_after=measured_after.value,
-        true_tfp_before=_true_level(tech, initial_bundle),
-        true_tfp_after=_true_level(tech, best.bundle),
-        welfare_direction=WELFARE_IMPROVED,
-        before=before,
-        after=after,
-        details={
-            "allocative_gap": gap,
-            "cost_before": cost_based_value_added(prices, initial_bundle),
-            "cost_after": best.cost,
-        },
-    )
+    before = _measure(EconomyState(tech, initial_bundle, prices=prices))
+    after = _measure(EconomyState(tech, best.bundle, prices=prices))
+    details = {"allocative_gap": gap, "cost_before": before.tfp.numerator, "cost_after": best.cost}
+    return _compare(2, before, after, WELFARE_IMPROVED, details)
 
 
 def run_paradox_3(
@@ -276,25 +275,11 @@ def run_paradox_3(
     point (scale factor 1, measurement unchanged) rather than an error.
     """
     mpss = find_mpss(tech, bundle)
-    measured_before = measured_tfp_cost_based(prices, bundle, tech)
-    before = EconomyState(tech, bundle, prices=prices)
-
+    before = _measure(EconomyState(tech, bundle, prices=prices))
     if abs(math.log(mpss.scale_factor)) <= tolerances.mpss_log_scale:
-        return ParadoxReport(
-            paradox_id=3,
-            convention=COST_BASED_VA,
-            measured_before=measured_before.value,
-            measured_after=measured_before.value,
-            true_tfp_before=_true_level(tech, bundle),
-            true_tfp_after=_true_level(tech, bundle),
-            welfare_direction=WELFARE_UNCHANGED,
-            before=before,
-            after=before,
-            details={"mpss_scale_factor": 1.0},
-        )
+        return _compare(3, before, before, WELFARE_UNCHANGED, {"mpss_scale_factor": 1.0})
 
-    after = EconomyState(tech, mpss.bundle_at_mpss, prices=prices)
-    measured_after = measured_tfp_cost_based(prices, mpss.bundle_at_mpss, tech)
+    after = _measure(EconomyState(tech, mpss.bundle_at_mpss, prices=prices))
 
     # the proofs' intermediate inequality: when scaling up, output grows more
     # than proportionally; when scaling down, it shrinks less than
@@ -308,7 +293,7 @@ def run_paradox_3(
     # cost is linear along the ray, so the measured ratio must collapse to
     # the ray average product ratio
     rap_before = tech.output(bundle)
-    measured_ratio = measured_after.value / measured_before.value
+    measured_ratio = after.tfp.value / before.tfp.value
     predicted_ratio = rap_before / mpss.ray_average_product
     if not math.isclose(
         measured_ratio, predicted_ratio, rel_tol=tolerances.identity_check, abs_tol=0.0
@@ -318,24 +303,14 @@ def run_paradox_3(
             f"vs ray average product ratio {predicted_ratio!r}"
         )
 
-    return ParadoxReport(
-        paradox_id=3,
-        convention=COST_BASED_VA,
-        measured_before=measured_before.value,
-        measured_after=measured_after.value,
-        true_tfp_before=_true_level(tech, bundle),
-        true_tfp_after=_true_level(tech, mpss.bundle_at_mpss),
-        welfare_direction=WELFARE_IMPROVED,
-        before=before,
-        after=after,
-        details={
-            "mpss_scale_factor": mpss.scale_factor,
-            "output_ratio": output_ratio,
-            "ray_average_product_before": rap_before,
-            "ray_average_product_after": mpss.ray_average_product,
-            "measured_ratio": measured_ratio,
-        },
-    )
+    details = {
+        "mpss_scale_factor": mpss.scale_factor,
+        "output_ratio": output_ratio,
+        "ray_average_product_before": rap_before,
+        "ray_average_product_after": mpss.ray_average_product,
+        "measured_ratio": measured_ratio,
+    }
+    return _compare(3, before, after, WELFARE_IMPROVED, details)
 
 
 def run_paradox_4(
@@ -355,27 +330,10 @@ def run_paradox_4(
             f"wage {prices_before.wage!r} -> {prices_after.wage!r}"
         )
 
-    before = EconomyState(tech, bundle, prices=prices_before)
-    after = EconomyState(tech, bundle, prices=prices_after)
-    measured_before = measured_tfp_cost_based(prices_before, bundle, tech)
-    measured_after = measured_tfp_cost_based(prices_after, bundle, tech)
-    level = _true_level(tech, bundle)
-
-    return ParadoxReport(
-        paradox_id=4,
-        convention=COST_BASED_VA,
-        measured_before=measured_before.value,
-        measured_after=measured_after.value,
-        true_tfp_before=level,
-        true_tfp_after=level,
-        welfare_direction=WELFARE_UNCHANGED,
-        before=before,
-        after=after,
-        details={
-            "cost_before": cost_based_value_added(prices_before, bundle),
-            "cost_after": cost_based_value_added(prices_after, bundle),
-        },
-    )
+    before = _measure(EconomyState(tech, bundle, prices=prices_before))
+    after = _measure(EconomyState(tech, bundle, prices=prices_after))
+    details = {"cost_before": before.tfp.numerator, "cost_after": after.tfp.numerator}
+    return _compare(4, before, after, WELFARE_UNCHANGED, details)
 
 
 def run_paradox_5(
@@ -403,42 +361,39 @@ def run_paradox_5(
                 f"got {old.markup!r} -> {new.markup!r}"
             )
 
-    before = EconomyState(tech, bundle, pricing=pricing_before)
-    after = EconomyState(tech, bundle, pricing=pricing_after)
-    measured_before = measured_tfp_revenue(pricing_before, tech, bundle)
-    measured_after = measured_tfp_revenue(pricing_after, tech, bundle)
-    level = _true_level(tech, bundle)
-
-    return ParadoxReport(
-        paradox_id=5,
-        convention=DISTORTED_REVENUE,
-        measured_before=measured_before.value,
-        measured_after=measured_after.value,
-        true_tfp_before=level,
-        true_tfp_after=level,
-        welfare_direction=WELFARE_UNCHANGED,
-        before=before,
-        after=after,
-        details={
-            "revenue_before": measured_before.numerator,
-            "revenue_after": measured_after.numerator,
-        },
-    )
+    before = _measure(EconomyState(tech, bundle, pricing=pricing_before))
+    after = _measure(EconomyState(tech, bundle, pricing=pricing_after))
+    details = {"revenue_before": before.tfp.numerator, "revenue_after": after.tfp.numerator}
+    return _compare(5, before, after, WELFARE_UNCHANGED, details)
 
 
-_REQUIRED_FIELDS: dict[int, frozenset[str]] = {
-    1: frozenset({"prices", "shift"}),
-    2: frozenset({"prices"}),
-    3: frozenset({"prices"}),
-    4: frozenset({"prices", "prices_after"}),
-    5: frozenset({"pricing", "markups_after"}),
+# paradox id -> (scenario fields it requires, call into its runner). The
+# adapters look each runner up by name when called, so a wrapper installed
+# at the module attribute sees every call.
+_RUNNERS: dict[int, tuple[frozenset[str], Callable[[Scenario, Tolerances], ParadoxReport]]] = {
+    1: (
+        frozenset({"prices", "shift"}),
+        lambda s, tol: run_paradox_1(s.technology, s.bundle, s.prices, s.shift),
+    ),
+    2: (frozenset({"prices"}), lambda s, tol: run_paradox_2(s.technology, s.prices, s.bundle, tol)),
+    3: (frozenset({"prices"}), lambda s, tol: run_paradox_3(s.technology, s.prices, s.bundle, tol)),
+    4: (
+        frozenset({"prices", "prices_after"}),
+        lambda s, tol: run_paradox_4(s.technology, s.bundle, s.prices, s.prices_after),
+    ),
+    5: (
+        frozenset({"pricing", "markups_after"}),
+        lambda s, tol: run_paradox_5(
+            s.pricing, s.pricing.with_markups(s.markups_after), s.technology, s.bundle
+        ),
+    ),
 }
-_OPTIONAL_FIELD_NAMES = ("prices", "shift", "prices_after", "pricing", "markups_after")
+_OPTIONAL_FIELD_NAMES = frozenset().union(*(required for required, _ in _RUNNERS.values()))
 
 
 def run_scenario(scenario: Scenario, tolerances: Tolerances = Tolerances()) -> ParadoxReport:
     """Validate a scenario's field set against its paradox and run it."""
-    required = _REQUIRED_FIELDS[scenario.paradox_id]
+    required, run = _RUNNERS[scenario.paradox_id]
     present = {
         name for name in _OPTIONAL_FIELD_NAMES if getattr(scenario, name) is not None
     }
@@ -454,18 +409,7 @@ def run_scenario(scenario: Scenario, tolerances: Tolerances = Tolerances()) -> P
             f"scenario {scenario.name!r} (paradox {scenario.paradox_id}): "
             + ", ".join(parts)
         )
-    if scenario.paradox_id == 1:
-        return run_paradox_1(scenario.technology, scenario.bundle, scenario.prices, scenario.shift)
-    if scenario.paradox_id == 2:
-        return run_paradox_2(scenario.technology, scenario.prices, scenario.bundle, tolerances)
-    if scenario.paradox_id == 3:
-        return run_paradox_3(scenario.technology, scenario.prices, scenario.bundle, tolerances)
-    if scenario.paradox_id == 4:
-        return run_paradox_4(
-            scenario.technology, scenario.bundle, scenario.prices, scenario.prices_after
-        )
-    pricing_after = scenario.pricing.with_markups(scenario.markups_after)
-    return run_paradox_5(scenario.pricing, pricing_after, scenario.technology, scenario.bundle)
+    return run(scenario, tolerances)
 
 
 def run_all(
@@ -484,38 +428,17 @@ def run_all(
         scenarios = load_scenarios(scenarios)
     outcomes: list[ScenarioOutcome] = []
     for scenario in sorted(scenarios, key=lambda s: s.paradox_id):
+        report = error = error_kind = None
         if isinstance(scenario, FailedScenario):
-            outcomes.append(
-                ScenarioOutcome(
-                    name=scenario.name,
-                    paradox_id=scenario.paradox_id,
-                    error=scenario.error,
-                    error_kind="input",
-                )
-            )
-            continue
-        try:
-            report = run_scenario(scenario, tolerances)
-        except NoConvergenceError as exc:
-            outcomes.append(
-                ScenarioOutcome(
-                    name=scenario.name,
-                    paradox_id=scenario.paradox_id,
-                    error=str(exc),
-                    error_kind="internal",
-                )
-            )
-        except PubTfpError as exc:
-            outcomes.append(
-                ScenarioOutcome(
-                    name=scenario.name,
-                    paradox_id=scenario.paradox_id,
-                    error=str(exc),
-                    error_kind="input",
-                )
-            )
+            error, error_kind = scenario.error, "input"
         else:
-            outcomes.append(
-                ScenarioOutcome(name=scenario.name, paradox_id=scenario.paradox_id, report=report)
-            )
+            try:
+                report = run_scenario(scenario, tolerances)
+            except (NoConvergenceError, ArithmeticError) as exc:
+                error, error_kind = str(exc), "internal"
+            except PubTfpError as exc:
+                error, error_kind = str(exc), "input"
+        outcomes.append(
+            ScenarioOutcome(scenario.name, scenario.paradox_id, report, error, error_kind)
+        )
     return outcomes

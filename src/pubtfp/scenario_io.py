@@ -13,7 +13,7 @@ nothing sensible to salvage from a partial one.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import yaml
 
@@ -58,12 +58,6 @@ _FAMILIES: dict[str, tuple[type, frozenset[str], frozenset[str]]] = {
         frozenset({"returns_to_scale", "level"}),
     ),
 }
-
-_SCENARIO_REQUIRED = frozenset({"name", "paradox", "technology", "bundle"})
-_SCENARIO_OPTIONAL = frozenset(
-    {"description", "prices", "shift_factor", "prices_after", "outputs", "markups_after"}
-)
-
 
 def _require_mapping(value: Any, where: str) -> Mapping[str, Any]:
     if not isinstance(value, Mapping):
@@ -162,37 +156,33 @@ def _pricing(value: Any, where: str) -> PricingScheme:
     return PricingScheme(tuple(outputs))
 
 
+# YAML key -> (Scenario field, parser), in parse order: the first parse that
+# fails names the entry's error.
+_SCENARIO_KEYS: dict[str, tuple[str, Callable[[Any, str], Any]]] = {
+    "name": ("name", _string),
+    "paradox": ("paradox_id", _integer),
+    "shift_factor": ("shift", lambda value, where: TechnologyShift(_number(value, where))),
+    "technology": ("technology", _technology),
+    "bundle": ("bundle", _bundle),
+    "prices": ("prices", _prices),
+    "prices_after": ("prices_after", _prices),
+    "outputs": ("pricing", _pricing),
+    "markups_after": ("markups_after", _number_list),
+    "description": ("description", _string),
+}
+_SCENARIO_REQUIRED = frozenset({"name", "paradox", "technology", "bundle"})
+_SCENARIO_OPTIONAL = frozenset(_SCENARIO_KEYS) - _SCENARIO_REQUIRED
+
+
 def _scenario(entry: Any, where: str) -> Scenario:
     mapping = _require_mapping(entry, where)
     _check_keys(mapping, _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL, where)
-    name = _string(mapping["name"], f"{where}.name")
-    paradox = _integer(mapping["paradox"], f"{where}.paradox")
-    shift = None
-    if "shift_factor" in mapping:
-        shift = TechnologyShift(_number(mapping["shift_factor"], f"{where}.shift_factor"))
     return Scenario(
-        name=name,
-        paradox_id=paradox,
-        technology=_technology(mapping["technology"], f"{where}.technology"),
-        bundle=_bundle(mapping["bundle"], f"{where}.bundle"),
-        prices=_prices(mapping["prices"], f"{where}.prices") if "prices" in mapping else None,
-        shift=shift,
-        prices_after=(
-            _prices(mapping["prices_after"], f"{where}.prices_after")
-            if "prices_after" in mapping
-            else None
-        ),
-        pricing=_pricing(mapping["outputs"], f"{where}.outputs") if "outputs" in mapping else None,
-        markups_after=(
-            _number_list(mapping["markups_after"], f"{where}.markups_after")
-            if "markups_after" in mapping
-            else None
-        ),
-        description=(
-            _string(mapping["description"], f"{where}.description")
-            if "description" in mapping
-            else ""
-        ),
+        **{
+            attribute: parse(mapping[key], f"{where}.{key}")
+            for key, (attribute, parse) in _SCENARIO_KEYS.items()
+            if key in mapping
+        }
     )
 
 

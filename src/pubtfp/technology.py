@@ -70,6 +70,11 @@ def _require_nonnegative(name: str, value: float) -> float:
     return value
 
 
+def _ces_sum(weight: float, a: float, b: float, rho: float) -> float:
+    """The CES aggregator's inner sum weight*a^rho + (1-weight)*b^rho."""
+    return weight * a ** rho + (1.0 - weight) * b ** rho
+
+
 @dataclass(frozen=True)
 class InputBundle:
     """Real input quantities: capital services, labor, optional intermediates."""
@@ -256,19 +261,13 @@ class Ces(Technology):
         rho = self.substitution
         if rho < 0.0 and (bundle.capital == 0.0 or bundle.labor == 0.0):
             return 0.0  # both inputs essential under rho < 0
-        inner = (
-            self.capital_weight * bundle.capital ** rho
-            + (1.0 - self.capital_weight) * bundle.labor ** rho
-        )
+        inner = _ces_sum(self.capital_weight, bundle.capital, bundle.labor, rho)
         return inner ** (self.returns_to_scale / rho)
 
     def marginal_products(self, bundle: InputBundle) -> tuple[float, float]:
         self._check_interior(bundle)
         rho = self.substitution
-        inner = (
-            self.capital_weight * bundle.capital ** rho
-            + (1.0 - self.capital_weight) * bundle.labor ** rho
-        )
+        inner = _ces_sum(self.capital_weight, bundle.capital, bundle.labor, rho)
         common = self.level * self.returns_to_scale * inner ** (self.returns_to_scale / rho - 1.0)
         mp_k = common * self.capital_weight * bundle.capital ** (rho - 1.0)
         mp_l = common * (1.0 - self.capital_weight) * bundle.labor ** (rho - 1.0)
@@ -377,10 +376,7 @@ class TwoLevelCes(Technology):
         rho1 = self.inner_substitution
         if rho1 < 0.0 and (bundle.capital == 0.0 or bundle.labor == 0.0):
             return 0.0
-        inner = (
-            self.capital_weight * bundle.capital ** rho1
-            + (1.0 - self.capital_weight) * bundle.labor ** rho1
-        )
+        inner = _ces_sum(self.capital_weight, bundle.capital, bundle.labor, rho1)
         return inner ** (1.0 / rho1)
 
     def core_output(self, bundle: InputBundle) -> float:
@@ -390,17 +386,14 @@ class TwoLevelCes(Technology):
         rho2 = self.outer_substitution
         if rho2 < 0.0 and (h == 0.0 or m == 0.0):
             return 0.0
-        outer = self.value_added_weight * h ** rho2 + (1.0 - self.value_added_weight) * m ** rho2
+        outer = _ces_sum(self.value_added_weight, h, m, rho2)
         return outer ** (self.returns_to_scale / rho2)
 
     def marginal_products(self, bundle: InputBundle) -> tuple[float, float]:
         self._check_interior(bundle)
         h = self._aggregate(bundle)
         rho1, rho2 = self.inner_substitution, self.outer_substitution
-        outer = (
-            self.value_added_weight * h ** rho2
-            + (1.0 - self.value_added_weight) * bundle.intermediates ** rho2
-        )
+        outer = _ces_sum(self.value_added_weight, h, bundle.intermediates, rho2)
         common = (
             self.level
             * self.returns_to_scale
@@ -416,10 +409,7 @@ class TwoLevelCes(Technology):
         self._check_interior(bundle)
         h = self._aggregate(bundle)
         rho2 = self.outer_substitution
-        outer = (
-            self.value_added_weight * h ** rho2
-            + (1.0 - self.value_added_weight) * bundle.intermediates ** rho2
-        )
+        outer = _ces_sum(self.value_added_weight, h, bundle.intermediates, rho2)
         return (
             self.level
             * self.returns_to_scale

@@ -260,6 +260,14 @@ class TestPanelCsv:
         path.write_text("\n".join([header, row, ""]), encoding="utf-8")
         assert len(ingest_panel(path)) == 1
 
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        header = ",".join(PANEL_COLUMNS)
+        row = "1995,AA,edu,1.0,1.0,1.0,1.0,0.6,0.4"
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join([header, row, ""]), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert ingest_panel(path) == [obs(1995)]
+
     def test_header_only_file_rejected(self, tmp_path):
         path = tmp_path / "panel.csv"
         path.write_text(",".join(PANEL_COLUMNS) + "\n", encoding="utf-8")

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import pubtfp
 from pubtfp.cli import PLOT_COLUMNS, REPORT_COLUMNS, main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -26,6 +29,16 @@ GOOD_P1 = """\
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
+
+
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter on the package under test."""
+    package_root = str(Path(pubtfp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "pubtfp.cli", *map(str, args)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 class TestParadoxCommand:
@@ -288,3 +301,104 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+class TestCrashBackstop:
+    """Arithmetic failures become error rows and exit codes, never tracebacks."""
+
+    @pytest.mark.parametrize(
+        "technology, capital, code, message",
+        [
+            # zero capital zeroes Cobb-Douglas output, the measured-TFP denominator
+            (
+                "{family: cobb-douglas, alpha_capital: 0.3, alpha_labor: 0.7}",
+                "0.0",
+                1,
+                "denominator must be strictly positive",
+            ),
+            # 1e-200 ** -3 overflows inside the CES sum
+            (
+                "{family: ces, capital_weight: 0.4, substitution: -3.0}",
+                "1.0e-200",
+                2,
+                "out of range",
+            ),
+        ],
+        ids=["zero-output", "overflow"],
+    )
+    def test_probe_keeps_its_row_next_to_a_valid_scenario(
+        self, tmp_path, technology, capital, code, message
+    ):
+        text = "scenarios:\n" + GOOD_P1 + f"""\
+  - name: probe
+    paradox: 1
+    technology: {technology}
+    bundle: {{capital: {capital}, labor: 1}}
+    prices: {{capital_price: 1, wage: 1}}
+    shift_factor: 1.25
+"""
+        scenario_file = tmp_path / "scenarios.yaml"
+        scenario_file.write_text(text, encoding="utf-8")
+        out = tmp_path / "report.csv"
+        proc = run_cli("paradox", "--input", scenario_file, "--output", out)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        rows = {row["scenario"]: row for row in read_rows(out)}
+        assert rows["progress"]["confirmed"] == "true"
+        assert message in rows["probe"]["error"]
+
+    def test_overflow_outside_the_batch_exits_two(self, tmp_path):
+        config = tmp_path / "sim.yaml"
+        config.write_text(
+            """\
+simulation:
+  convention: market
+  start_year: 1995
+  years: 2
+  level_growth: 0.0
+  technology: {family: ces, capital_weight: 0.4, substitution: -3.0}
+  bundle: {capital: 1.0e-200, labor: 1.0}
+  prices: {capital_price: 1.0, wage: 1.0}
+""",
+            encoding="utf-8",
+        )
+        proc = run_cli("simulate", "--input", config, "--output", tmp_path / "panel.csv")
+        assert proc.returncode == 2
+        assert "pubtfp: internal error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestShippedOutputs:
+    """Pinned bytes of the CLI's outputs on the shipped input files."""
+
+    def test_paradox_report(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        assert main(["paradox", "--input", str(PARADOX_FILE), "--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == (
+            "scenario,paradox_id,convention,measured_before,measured_after,"
+            "true_before,true_after,confirmed,welfare_direction,error\n"
+            "technical-progress,1,CostBasedVA,2.0,1.6,1.0,1.25,true,improved,\n"
+            "allocative-gain,2,CostBasedVA,2.5,1.9999999999999996,1.0,1.0,true,improved,\n"
+            "scale-to-best,3,CostBasedVA,2.0,1.809674836071919,1.0,1.0,true,improved,\n"
+            "cheaper-inputs,4,CostBasedVA,2.0,1.7000000000000002,1.0,1.0,true,"
+            "unchanged-productivity,\n"
+            "markup-cut,5,DistortedRevenue,6.2,5.8500000000000005,2.0,2.0,true,"
+            "unchanged-productivity,\n"
+        )
+        capsys.readouterr()
+
+    def test_simulate_then_accounting(self, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        indices = tmp_path / "indices.csv"
+        assert main(["simulate", "--input", str(SIMULATION_FILE), "--output", str(panel)]) == 0
+        assert main(["accounting", "--input", str(panel), "--output", str(indices)]) == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (panel, indices, tmp_path / "indices_plot.csv")
+        }
+        assert digests == {
+            "panel.csv": "03a5a44ec108cba85b1d7db22ce3795eaa465edc78f80d55a930ba2e409cec7f",
+            "indices.csv": "2f4c2b40cb3d30e111652671c9de04d2f2dd6346faefb8d4ffb6a1e8d955ac2d",
+            "indices_plot.csv": "b879acad70f545df639fe2c02621819da24622aa500980a07c4ec5bc7d889a73",
+        }
+        capsys.readouterr()
