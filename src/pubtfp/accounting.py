@@ -24,15 +24,17 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import (
     InvalidParameterError,
     MissingBaseYearError,
     PanelSchemaError,
     SeriesError,
+    _not_utf8,
 )
 from .measurement import cost_based_value_added
 from .technology import FactorPrices, InputBundle, Technology
@@ -99,19 +101,22 @@ class PanelObservation:
         if not self.country or not self.industry:
             raise InvalidParameterError("country and industry must be nonempty strings")
         for name in ("va_nominal", "va_deflator", "capital_services", "labor_input"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value <= 0.0:
+            value = self._as_float(name)
+            if not 0.0 < value < math.inf:
                 raise InvalidParameterError(
                     f"{name} must be strictly positive, got {getattr(self, name)!r}"
                 )
-            object.__setattr__(self, name, value)
+        if not 0.0 < self.va_nominal / self.va_deflator < math.inf:
+            raise InvalidParameterError(
+                f"real value added va_nominal / va_deflator must be finite and positive, "
+                f"got {self.va_nominal!r} / {self.va_deflator!r}"
+            )
         for name in ("labor_share", "capital_share"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or not 0.0 <= value <= 1.0:
+            value = self._as_float(name)
+            if not 0.0 <= value <= 1.0:
                 raise InvalidParameterError(
                     f"{name} must lie in [0, 1], got {getattr(self, name)!r}"
                 )
-            object.__setattr__(self, name, value)
         total = self.labor_share + self.capital_share
         if total <= 0.0:
             raise InvalidParameterError("factor shares cannot both be zero")
@@ -125,6 +130,14 @@ class PanelObservation:
             )
             object.__setattr__(self, "labor_share", self.labor_share / total)
             object.__setattr__(self, "capital_share", self.capital_share / total)
+
+    def _as_float(self, name: str) -> float:
+        """The field as a float, converting and storing it only when it is not one."""
+        value = getattr(self, name)
+        if type(value) is not float:
+            value = float(value)
+            object.__setattr__(self, name, value)
+        return value
 
     @property
     def real_value_added(self) -> float:
@@ -265,24 +278,14 @@ def build_indices(
     return {key: build_index(rows, base_year) for key, rows in sorted(groups.items())}
 
 
-def _parse_row(row: Mapping[str, str], line: int) -> PanelObservation:
-    try:
-        year = int(row["year"])
-    except ValueError:
-        raise PanelSchemaError(f"row {line}: year {row['year']!r} is not an integer") from None
-    numbers: dict[str, float] = {}
-    for name in PANEL_COLUMNS[3:]:
-        raw = row[name]
+def _non_number(raw_numbers: list[str]) -> str:
+    """Name the first of a row's number fields that float() rejects."""
+    for name, raw in zip(PANEL_COLUMNS[3:], raw_numbers):
         try:
-            numbers[name] = float(raw)
-        except (TypeError, ValueError):
-            raise PanelSchemaError(f"row {line}: {name} {raw!r} is not a number") from None
-    try:
-        return PanelObservation(
-            year=year, country=row["country"], industry=row["industry"], **numbers
-        )
-    except InvalidParameterError as exc:
-        raise PanelSchemaError(f"row {line}: {exc}") from None
+            float(raw)
+        except ValueError:
+            return f"{name} {raw!r} is not a number"
+    raise AssertionError("called on a row whose numbers all parse")
 
 
 def ingest_panel(path: str | Path) -> list[PanelObservation]:
@@ -295,40 +298,63 @@ def ingest_panel(path: str | Path) -> list[PanelObservation]:
     sorted by country, industry, and year.
     """
     path = Path(path)
-    # utf-8-sig drops the byte-order mark that spreadsheet exports often carry
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = [name for name in PANEL_COLUMNS if name not in header]
-        if missing:
-            raise PanelSchemaError(f"panel {path} is missing columns {missing!r}")
-        observations: list[PanelObservation] = []
-        problems: list[str] = []
-        seen: dict[tuple[int, str, str], int] = {}
-        for line, row in enumerate(reader, start=2):
-            if any(row.get(name) in (None, "") for name in PANEL_COLUMNS):
-                problems.append(f"row {line}: empty or missing fields")
-                continue
-            try:
-                obs = _parse_row(row, line)
-            except PanelSchemaError as exc:
-                problems.append(str(exc))
-                continue
-            key = (obs.year, obs.country, obs.industry)
-            if key in seen:
-                problems.append(
-                    f"row {line}: duplicate of row {seen[key]} for {key!r}"
-                )
-                continue
-            seen[key] = line
-            observations.append(obs)
+    observations: list[PanelObservation] = []
+    problems: list[str] = []
+    seen: dict[tuple[int, str, str], int] = {}
+    try:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports often carry
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            records = csv.reader(handle)
+            header = next(records, [])
+            missing = [name for name in PANEL_COLUMNS if name not in header]
+            if missing:
+                raise PanelSchemaError(f"panel {path} is missing columns {missing!r}")
+            # a repeated column name is read from its last position
+            position = {name: index for index, name in enumerate(header)}
+            pick = operator.itemgetter(*(position[name] for name in PANEL_COLUMNS))
+            line = 1
+            for record in records:
+                if not record:  # blank lines are skipped and not counted
+                    continue
+                line += 1
+                try:
+                    fields = pick(record)
+                except IndexError:  # a row shorter than the header lacks fields
+                    fields = ("",)
+                if "" in fields:
+                    problems.append(f"row {line}: empty or missing fields")
+                    continue
+                year, country, industry, *numbers = fields
+                try:
+                    year = int(year)
+                except ValueError:
+                    problems.append(f"row {line}: year {year!r} is not an integer")
+                    continue
+                try:
+                    numbers = list(map(float, numbers))
+                except ValueError:
+                    problems.append(f"row {line}: {_non_number(numbers)}")
+                    continue
+                try:
+                    obs = PanelObservation(year, country, industry, *numbers)
+                except InvalidParameterError as exc:
+                    problems.append(f"row {line}: {exc}")
+                    continue
+                key = (year, country, industry)
+                if key in seen:
+                    problems.append(f"row {line}: duplicate of row {seen[key]} for {key!r}")
+                    continue
+                seen[key] = line
+                observations.append(obs)
+    except UnicodeDecodeError:
+        raise PanelSchemaError(_not_utf8(path)) from None
     if problems:
         raise PanelSchemaError(
             f"panel {path} has {len(problems)} bad row(s):\n" + "\n".join(problems)
         )
     if not observations:
         raise PanelSchemaError(f"panel {path} contains no data rows")
-    observations.sort(key=lambda o: (o.country, o.industry, o.year))
+    observations.sort(key=operator.attrgetter("country", "industry", "year"))
     return observations
 
 

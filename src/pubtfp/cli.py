@@ -34,7 +34,7 @@ from .accounting import (
     write_indices,
     write_panel,
 )
-from .errors import NoConvergenceError, PubTfpError
+from .errors import NoConvergenceError, PubTfpError, _not_utf8
 from .paradoxes import ScenarioOutcome, Tolerances, run_all
 from .scenario_io import load_scenarios, load_simulation
 
@@ -267,17 +267,29 @@ def _run_simulate(config: RunConfig) -> int:
 
 
 def _run_report(config: RunConfig) -> int:
-    with config.input_path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = [name for name in REPORT_COLUMNS if name not in header]
-        if missing:
-            print(
-                f"{config.input_path} is not a paradox report: missing columns {missing!r}",
-                file=sys.stderr,
-            )
-            return EXIT_INPUT_ERROR
-        rows = list(reader)
+    try:
+        with config.input_path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            header = reader.fieldnames or []
+            missing = [name for name in REPORT_COLUMNS if name not in header]
+            if missing:
+                print(
+                    f"{config.input_path} is not a paradox report: missing columns {missing!r}",
+                    file=sys.stderr,
+                )
+                return EXIT_INPUT_ERROR
+            rows = list(reader)
+    except UnicodeDecodeError:
+        print(_not_utf8(config.input_path), file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    # csv.DictReader fills the fields a short row lacks with None
+    short = next((line for line, row in enumerate(rows, start=2) if None in row.values()), None)
+    if short is not None:
+        print(
+            f"{config.input_path} is not a paradox report: row {short} is missing fields",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT_ERROR
     confirmed = disproved = failed = 0
     for row in rows:
         name, paradox_id = row["scenario"], row["paradox_id"]

@@ -5,6 +5,8 @@ ValueError keeps working; solver failures subclass RuntimeError. The CLI
 maps everything except solver/internal failures to exit code 1.
 """
 
+from pathlib import Path
+
 
 class PubTfpError(Exception):
     """Base class for all toolkit errors."""
@@ -52,3 +54,20 @@ class SeriesError(PubTfpError):
 
 class MissingBaseYearError(SeriesError):
     """The requested base year is absent from a series."""
+
+
+def _not_utf8(path: Path) -> str:
+    """Say where a file that failed to decode stops being UTF-8.
+
+    Text readers decode in chunks, so their error's offset is not the
+    file's; the file is decoded again, whole, only on this error path.
+    """
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return (
+            f"{path} is not valid UTF-8: byte 0x{data[exc.start]:02x} at offset "
+            f"{exc.start} ({exc.reason})"
+        )
+    return f"{path} is not valid UTF-8"

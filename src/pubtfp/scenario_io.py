@@ -18,7 +18,7 @@ from typing import Any, Callable, Mapping
 import yaml
 
 from .accounting import SimulationSpec
-from .errors import PubTfpError, ScenarioError
+from .errors import PubTfpError, ScenarioError, _not_utf8
 from .measurement import PricedOutput, PricingScheme
 from .paradoxes import PARADOX_IDS, FailedScenario, Scenario
 from .technology import (
@@ -33,6 +33,10 @@ from .technology import (
 )
 
 __all__ = ["load_scenarios", "load_simulation"]
+
+# libyaml's parser when PyYAML was built with it; both loaders share the
+# Python resolver and SafeConstructor, so they build equal documents.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _FAMILIES: dict[str, tuple[type, frozenset[str], frozenset[str]]] = {
     "cobb-douglas": (
@@ -203,9 +207,11 @@ def _entry_identity(entry: Any, position: int) -> tuple[str, int]:
 def _load_yaml(path: Path) -> Any:
     try:
         with path.open(encoding="utf-8") as handle:
-            return yaml.safe_load(handle)
+            return yaml.load(handle, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path} is not valid YAML: {exc}") from None
+    except UnicodeDecodeError:
+        raise ScenarioError(_not_utf8(path)) from None
 
 
 def load_scenarios(path: str | Path) -> list[Scenario | FailedScenario]:

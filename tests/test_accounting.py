@@ -268,6 +268,90 @@ class TestPanelCsv:
         assert path.read_bytes().startswith(b"\xef\xbb\xbf")
         assert ingest_panel(path) == [obs(1995)]
 
+    HEADER = ",".join(PANEL_COLUMNS)
+    GOOD_ROW = "1995,AA,edu,1.0,1.0,1.0,1.0,0.6,0.4"
+
+    @pytest.mark.parametrize(
+        "header, lines, problems",
+        [
+            (HEADER, ["1995,AA,edu,,1.0,1.0,1.0,0.6,0.4"], ["row 2: empty or missing fields"]),
+            (HEADER, ["1995,AA,edu,1.0,1.0"], ["row 2: empty or missing fields"]),
+            (
+                HEADER,
+                ["1995.0,AA,edu,1.0,1.0,1.0,1.0,0.6,0.4"],
+                ["row 2: year '1995.0' is not an integer"],
+            ),
+            (
+                HEADER,
+                ["1995,AA,edu,1.0,1.0,abc,1.0,0.6,0.4"],
+                ["row 2: capital_services 'abc' is not a number"],
+            ),
+            (
+                HEADER,
+                ["1995,AA,edu,1.0,1.0,1.0,-2,0.6,0.4"],
+                ["row 2: labor_input must be strictly positive, got -2.0"],
+            ),
+            (
+                HEADER,
+                ["1995,AA,edu,1.0,1.0,1.0,1.0,0.6,1.5"],
+                ["row 2: capital_share must lie in [0, 1], got 1.5"],
+            ),
+            (
+                HEADER,
+                ["1995,AA,edu,1.0,1.0,1.0,1.0,0,0.0"],
+                ["row 2: factor shares cannot both be zero"],
+            ),
+            (HEADER, [GOOD_ROW, GOOD_ROW], ["row 3: duplicate of row 2 for (1995, 'AA', 'edu')"]),
+            (
+                # the blank record is skipped without being counted
+                HEADER,
+                [GOOD_ROW, "", "1996,AA,edu,nan,1.0,1.0,1.0,0.6,0.4", "1997,AA,edu,1.0"],
+                [
+                    "row 3: va_nominal must be strictly positive, got nan",
+                    "row 4: empty or missing fields",
+                ],
+            ),
+            (
+                # a repeated column is read from its last position
+                HEADER + ",year",
+                ["1995,AA,edu,1.0,1.0,1.0,1.0,0.6,0.4,19x5", "19x5,AA,edu,1.0,1.0,1.0,1.0,0.6,0.4,1996"],
+                ["row 2: year '19x5' is not an integer"],
+            ),
+            (
+                "\ufeffnote," + HEADER,
+                ["x,1995,AA,edu,1.0,1.0,1.0,1.0,0.6,0.4", "y,1996,AA,edu,1.0,0.0,1.0,1.0,0.6,0.4"],
+                ["row 3: va_deflator must be strictly positive, got 0.0"],
+            ),
+        ],
+        ids=[
+            "empty-cell", "short-row", "year", "not-a-number", "non-positive", "share-range",
+            "zero-shares", "duplicate", "blank-line", "repeated-column", "bom-extra-column",
+        ],
+    )
+    def test_exact_row_problem_texts(self, tmp_path, header, lines, problems):
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join([header, *lines, ""]), encoding="utf-8")
+        with pytest.raises(PanelSchemaError) as excinfo:
+            ingest_panel(path)
+        assert str(excinfo.value) == (
+            f"panel {path} has {len(problems)} bad row(s):\n" + "\n".join(problems)
+        )
+
+    def test_renormalization_warns_once_per_row(self, tmp_path, caplog):
+        path = tmp_path / "panel.csv"
+        rows = [
+            "1995,AA,edu,1.0,1.0,1.0,1.0,0.7,0.31",
+            "1996,AA,edu,1.0,1.0,1.0,1.0,0.6,0.4",
+            "1997,AA,edu,1.0,1.0,1.0,1.0,0.61,0.4",
+        ]
+        path.write_text("\n".join([",".join(PANEL_COLUMNS), *rows, ""]), encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="pubtfp.accounting"):
+            ingest_panel(path)
+        assert [r.getMessage() for r in caplog.records] == [
+            "factor shares for AA/edu/1995 sum to 1.010000000; renormalizing to 1",
+            "factor shares for AA/edu/1997 sum to 1.010000000; renormalizing to 1",
+        ]
+
     def test_header_only_file_rejected(self, tmp_path):
         path = tmp_path / "panel.csv"
         path.write_text(",".join(PANEL_COLUMNS) + "\n", encoding="utf-8")

@@ -25,6 +25,11 @@ GOOD_P1 = """\
     shift_factor: 1.25
 """
 
+PANEL_HEADER = (
+    "year,country,industry,va_nominal,va_deflator,capital_services,labor_input,"
+    "labor_share,capital_share\n"
+)
+
 
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as handle:
@@ -366,6 +371,53 @@ simulation:
         assert proc.returncode == 2
         assert "pubtfp: internal error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestUnreadableInputs:
+    """Undecodable bytes and unusable rows exit 1 with a message, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            ("paradox", b"scenarios:\n  - name: \xc4\n"),
+            ("simulate", b"simulation:\n  country: \xc4\n"),
+            ("accounting", PANEL_HEADER.encode() + b"1995,\xc4,edu,1.0,1.0,1.0,1.0,0.6,0.4\n"),
+            ("report", ",".join(REPORT_COLUMNS).encode() + b"\n\xc4,1,,,,,,,,x\n"),
+        ],
+        ids=["paradox", "simulate", "accounting", "report"],
+    )
+    def test_non_utf8_byte_names_the_file_and_offset(self, tmp_path, command, content):
+        # 0xc4 is a Latin-1 capital A with diaeresis
+        source = tmp_path / f"latin1-{command}"
+        source.write_bytes(content)
+        output = [] if command == "report" else ["--output", tmp_path / "out.csv"]
+        proc = run_cli(command, "--input", source, *output)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        offset = content.index(b"\xc4")
+        assert f"{source} is not valid UTF-8: byte 0xc4 at offset {offset}" in proc.stderr
+
+    @pytest.mark.parametrize("nominal, deflator", [("1e-300", "1e300"), ("1e300", "1e-300")])
+    def test_unrepresentable_real_value_added_names_the_row(self, tmp_path, nominal, deflator):
+        panel = tmp_path / "panel.csv"
+        panel.write_text(
+            PANEL_HEADER + "1995,AA,edu,1.0,1.0,1.0,1.0,0.6,0.4\n"
+            f"1996,AA,edu,{nominal},{deflator},1.0,1.0,0.6,0.4\n",
+            encoding="utf-8",
+        )
+        proc = run_cli("accounting", "--input", panel, "--output", tmp_path / "indices.csv")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "row 3: real value added" in proc.stderr
+
+    def test_report_row_with_missing_fields_is_rejected(self, tmp_path):
+        report = tmp_path / "report.csv"
+        report.write_text(",".join(REPORT_COLUMNS) + "\nx,1\n", encoding="utf-8")
+        proc = run_cli("report", "--input", report)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"{report} is not a paradox report: row 2 is missing fields" in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestShippedOutputs:

@@ -1,7 +1,9 @@
 from pathlib import Path
 
 import pytest
+import yaml
 
+from pubtfp import scenario_io
 from pubtfp.errors import InvalidParameterError, ScenarioError
 from pubtfp.paradoxes import FailedScenario, Scenario, run_all
 from pubtfp.scenario_io import load_scenarios, load_simulation
@@ -189,6 +191,61 @@ scenarios:
         assert loaded[0].technology.level == 1.5
         assert loaded[1].technology.returns_to_scale == 0.9
         assert loaded[3].bundle.intermediates == 1.0
+
+
+# Plain and quoted scalars that the YAML 1.1 resolver maps to different
+# tags: floats, ints in several bases, sexagesimal, booleans, nulls, dates.
+_SCALARS = (
+    "0.25", "1.0e-3", "1e3", "-.5", ".inf", "0x1F", "017", "1:30", "yes", "Off",
+    "~", "null", "2001-12-14", "'0.4'", '"\\u00c4"', "+12", "1_000.5",
+)
+
+
+def generated_scenarios(count):
+    """A scenario file exercising flow and block styles, anchors and scalar forms."""
+    lines = ["# generated", "scenarios:"]
+    for n in range(count):
+        odd = _SCALARS[n % len(_SCALARS)]
+        lines.append(f"  - name: case-{n:03d}{'-Ä' if n % 7 == 0 else ''}")
+        lines.append(f"    paradox: {n % 5 + 1}")
+        if n % 3 == 0:
+            lines.append(f"    technology: &tech{n} {{family: cobb-douglas, alpha_capital: 0.3, "
+                         f"alpha_labor: 0.7, level: {odd}}}")
+        else:
+            lines += ["    technology:", "      family: ces", "      capital_weight: 0.4",
+                      f"      substitution: {odd}  # comment"]
+        lines.append(f"    bundle: {{capital: {1 + n % 4}, labor: 1.5}}")
+        lines.append("    prices: {capital_price: 1, wage: 1}")
+        if n % 5 == 4:
+            lines += ["    outputs:", "      - {quantity: 1, marginal_cost: 2, markup: 0.2}",
+                      "    markups_after: [0.1]"]
+        if n % 4 == 0:
+            lines += ["    description: >", f"      folded text for {n}", "      over two lines"]
+        if n % 11 == 0 and n % 3 == 0:
+            lines += [f"  - name: alias-{n}", "    paradox: 1", f"    technology: *tech{n}",
+                      "    bundle: {capital: 1, labor: 1}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+class TestLoaderParity:
+    """libyaml and the pure-Python parser build equal documents."""
+
+    @pytest.mark.parametrize("name", ["paradoxes.yaml", "simulate_tech_progress.yaml", None])
+    def test_documents_are_equal(self, tmp_path, name):
+        path = SCENARIO_DIR / name if name else write(tmp_path, generated_scenarios(200))
+        text = path.read_text(encoding="utf-8")
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert fast == yaml.load(text, Loader=yaml.SafeLoader)
+        if name is None:
+            assert len(fast["scenarios"]) > 200
+
+
+def test_pure_python_loader_gives_equal_scenarios(tmp_path, monkeypatch):
+    paths = [SCENARIO_DIR / "paradoxes.yaml", write(tmp_path, generated_scenarios(200))]
+    expected = [load_scenarios(path) for path in paths]
+    monkeypatch.setattr(scenario_io, "_LOADER", yaml.SafeLoader)
+    assert [load_scenarios(path) for path in paths] == expected
 
 
 class TestLoadSimulation:
