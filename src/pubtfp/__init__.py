@@ -6,177 +6,66 @@ say it does. It provides the measurement conventions used for nonmarket
 output, five runnable paradoxes in which measured TFP falls while true
 productivity does not, and a growth-accounting pipeline that turns
 industry panels into Tornqvist TFP index series.
+
+Public names are imported from their home module on first use (PEP 562),
+so ``import pubtfp`` loads no submodule and PyYAML only with the scenario
+readers.
 """
 
-from .accounting import (
-    PanelObservation,
-    SimulationSpec,
-    TfpIndexSeries,
-    build_index,
-    build_indices,
-    deflate,
-    ingest_panel,
-    simulate_sna_panel,
-    tornqvist_tfp_growth,
-    write_indices,
-    write_panel,
-)
-from .efficiency import (
-    CostMinResult,
-    MpssResult,
-    allocative_gap,
-    apply_technical_progress,
-    find_mpss,
-    min_cost_bundle,
-)
-from .errors import (
-    AlreadyEfficientError,
-    DomainError,
-    InvalidParameterError,
-    MarkupNotReducedError,
-    MissingBaseYearError,
-    NoConvergenceError,
-    NoInteriorMpssError,
-    PanelSchemaError,
-    PricesNotDominatedError,
-    PubTfpError,
-    ScenarioError,
-    SeriesError,
-)
-from .measurement import (
-    COST_BASED_VA,
-    COST_WEIGHTED_INDEX,
-    DISTORTED_REVENUE,
-    MeasuredTfp,
-    OutputMix,
-    OutputShare,
-    PricedOutput,
-    PricingScheme,
-    Proposition1Report,
-    cost_based_value_added,
-    cost_weighted_output,
-    measured_tfp_cost_based,
-    measured_tfp_cost_weighted,
-    measured_tfp_revenue,
-    revenue,
-    unit_costs_from_allocation,
-    verify_proposition1,
-)
-from .paradoxes import (
-    EconomyState,
-    FailedScenario,
-    ParadoxReport,
-    Scenario,
-    ScenarioOutcome,
-    Tolerances,
-    run_all,
-    run_paradox_1,
-    run_paradox_2,
-    run_paradox_3,
-    run_paradox_4,
-    run_paradox_5,
-    run_scenario,
-)
-from .scenario_io import load_scenarios, load_simulation
-from .technology import (
-    Ces,
-    CobbDouglas,
-    FactorPrices,
-    HomotheticTranslog,
-    InputBundle,
-    Technology,
-    TechnologyShift,
-    TwoLevelCes,
-    evaluate,
-    marginal_products,
-    mrts,
-    scale_elasticity,
-    true_tfp,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # technology
-    "InputBundle",
-    "FactorPrices",
-    "TechnologyShift",
-    "Technology",
-    "CobbDouglas",
-    "Ces",
-    "HomotheticTranslog",
-    "TwoLevelCes",
-    "evaluate",
-    "marginal_products",
-    "mrts",
-    "scale_elasticity",
-    "true_tfp",
-    # efficiency
-    "CostMinResult",
-    "MpssResult",
-    "min_cost_bundle",
-    "allocative_gap",
-    "find_mpss",
-    "apply_technical_progress",
-    # measurement
-    "COST_BASED_VA",
-    "COST_WEIGHTED_INDEX",
-    "DISTORTED_REVENUE",
-    "OutputShare",
-    "OutputMix",
-    "PricedOutput",
-    "PricingScheme",
-    "MeasuredTfp",
-    "Proposition1Report",
-    "cost_based_value_added",
-    "measured_tfp_cost_based",
-    "unit_costs_from_allocation",
-    "cost_weighted_output",
-    "measured_tfp_cost_weighted",
-    "verify_proposition1",
-    "revenue",
-    "measured_tfp_revenue",
-    # paradoxes
-    "Tolerances",
-    "EconomyState",
-    "Scenario",
-    "FailedScenario",
-    "ParadoxReport",
-    "ScenarioOutcome",
-    "run_paradox_1",
-    "run_paradox_2",
-    "run_paradox_3",
-    "run_paradox_4",
-    "run_paradox_5",
-    "run_scenario",
-    "run_all",
-    # accounting
-    "PanelObservation",
-    "TfpIndexSeries",
-    "SimulationSpec",
-    "deflate",
-    "tornqvist_tfp_growth",
-    "build_index",
-    "build_indices",
-    "ingest_panel",
-    "write_panel",
-    "write_indices",
-    "simulate_sna_panel",
-    # scenario files
-    "load_scenarios",
-    "load_simulation",
-    # errors
-    "PubTfpError",
-    "InvalidParameterError",
-    "DomainError",
-    "NoConvergenceError",
-    "NoInteriorMpssError",
-    "AlreadyEfficientError",
-    "PricesNotDominatedError",
-    "MarkupNotReducedError",
-    "ScenarioError",
-    "PanelSchemaError",
-    "SeriesError",
-    "MissingBaseYearError",
-]
+# every public name once, under the submodule that defines it
+_EXPORTS = {
+    "technology": (
+        "InputBundle", "FactorPrices", "TechnologyShift", "Technology", "CobbDouglas", "Ces",
+        "HomotheticTranslog", "TwoLevelCes", "evaluate", "marginal_products", "mrts",
+        "scale_elasticity", "true_tfp",
+    ),
+    "efficiency": (
+        "CostMinResult", "MpssResult", "min_cost_bundle", "allocative_gap", "find_mpss",
+        "apply_technical_progress",
+    ),
+    "measurement": (
+        "COST_BASED_VA", "COST_WEIGHTED_INDEX", "DISTORTED_REVENUE", "OutputShare", "OutputMix",
+        "PricedOutput", "PricingScheme", "MeasuredTfp", "Proposition1Report",
+        "cost_based_value_added", "measured_tfp_cost_based", "unit_costs_from_allocation",
+        "cost_weighted_output", "measured_tfp_cost_weighted", "verify_proposition1", "revenue",
+        "measured_tfp_revenue",
+    ),
+    "paradoxes": (
+        "Tolerances", "EconomyState", "Scenario", "FailedScenario", "ParadoxReport",
+        "ScenarioOutcome", "run_paradox_1", "run_paradox_2", "run_paradox_3", "run_paradox_4",
+        "run_paradox_5", "run_scenario", "run_all",
+    ),
+    "accounting": (
+        "PanelObservation", "TfpIndexSeries", "SimulationSpec", "deflate", "tornqvist_tfp_growth",
+        "build_index", "build_indices", "ingest_panel", "write_panel", "write_indices",
+        "simulate_sna_panel",
+    ),
+    "scenario_io": ("load_scenarios", "load_simulation"),
+    "errors": (
+        "PubTfpError", "InvalidParameterError", "DomainError", "NoConvergenceError",
+        "NoInteriorMpssError", "AlreadyEfficientError", "PricesNotDominatedError",
+        "MarkupNotReducedError", "ScenarioError", "PanelSchemaError", "SeriesError",
+        "MissingBaseYearError",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    # AttributeError, not KeyError: ``from pubtfp import paradoxes`` falls
+    # back to importing the submodule only after hasattr() sees it
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -261,10 +261,21 @@ def build_index(observations: Iterable[PanelObservation], base_year: int) -> Tfp
     for earlier, later in zip(rows, rows[1:]):
         log_levels.append(log_levels[-1] + tornqvist_tfp_growth(earlier, later))
     base_log = log_levels[years.index(base_year)]
-    values = tuple(100.0 * math.exp(level - base_log) for level in log_levels)
     country, industry = rows[0].key
+    values = []
+    for year, level in zip(years, log_levels):
+        try:
+            value = 100.0 * math.exp(level - base_log)
+        except OverflowError:
+            value = math.inf
+        if not 0.0 < value < math.inf:
+            raise SeriesError(
+                f"TFP index of {country}/{industry} leaves the float range in {year} "
+                f"(log change {level - base_log:.6g} from base year {base_year})"
+            )
+        values.append(value)
     return TfpIndexSeries(
-        country=country, industry=industry, base_year=base_year, years=years, values=values
+        country=country, industry=industry, base_year=base_year, years=years, values=tuple(values)
     )
 
 
@@ -348,6 +359,8 @@ def ingest_panel(path: str | Path) -> list[PanelObservation]:
                 observations.append(obs)
     except UnicodeDecodeError:
         raise PanelSchemaError(_not_utf8(path)) from None
+    except csv.Error as exc:  # for example a field over csv.field_size_limit()
+        raise PanelSchemaError(f"panel {path}, line {records.line_num}: {exc}") from None
     if problems:
         raise PanelSchemaError(
             f"panel {path} has {len(problems)} bad row(s):\n" + "\n".join(problems)

@@ -23,22 +23,46 @@ import logging
 import os
 import sys
 from dataclasses import dataclass, field
+from importlib import import_module
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .accounting import (
-    TfpIndexSeries,
-    build_indices,
-    ingest_panel,
-    simulate_sna_panel,
-    write_indices,
-    write_panel,
-)
 from .errors import NoConvergenceError, PubTfpError, _not_utf8
-from .paradoxes import ScenarioOutcome, Tolerances, run_all
-from .scenario_io import load_scenarios, load_simulation
+
+if TYPE_CHECKING:
+    from .accounting import TfpIndexSeries
+    from .paradoxes import ScenarioOutcome
 
 __all__ = ["RunConfig", "build_parser", "main"]
+
+# The names the handlers call, by home module. A subcommand imports only its
+# own modules, so ``report`` loads neither PyYAML nor the solvers. Each
+# handler binds its names into this module's globals first, keeping a value
+# already set from outside (a tracing wrapper), then calls them as globals.
+_DEFERRED = {
+    "accounting": (
+        "build_indices", "ingest_panel", "simulate_sna_panel", "write_indices", "write_panel",
+    ),
+    "paradoxes": ("Tolerances", "run_all"),
+    "scenario_io": ("load_scenarios", "load_simulation"),
+}
+_DEFERRED_HOME = {name: module for module, names in _DEFERRED.items() for name in names}
+
+
+def _bind(*modules: str) -> None:
+    # relative to __package__: under ``python -m pubtfp.cli`` __name__ is __main__
+    for module in modules:
+        loaded = import_module(f".{module}", __package__)
+        for name in _DEFERRED[module]:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    module = _DEFERRED_HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
 
 COMMANDS = ("paradox", "accounting", "simulate", "report")
 
@@ -186,6 +210,7 @@ def _write_report(outcomes: Iterable[ScenarioOutcome], path: Path) -> None:
 
 
 def _run_paradox(config: RunConfig) -> int:
+    _bind("scenario_io", "paradoxes")
     scenarios = load_scenarios(config.input_path)
     tolerances = Tolerances().replaced(config.tolerance_overrides)
     outcomes = run_all(scenarios, tolerances)
@@ -242,6 +267,7 @@ def _default_plot_path(output_path: Path) -> Path:
 
 
 def _run_accounting(config: RunConfig) -> int:
+    _bind("accounting")
     observations = ingest_panel(config.input_path)
     base_year = 1995 if config.base_year is None else config.base_year
     indices = build_indices(observations, base_year)
@@ -256,6 +282,7 @@ def _run_accounting(config: RunConfig) -> int:
 
 
 def _run_simulate(config: RunConfig) -> int:
+    _bind("scenario_io", "accounting")
     spec = load_simulation(config.input_path)
     observations = simulate_sna_panel(spec)
     write_panel(observations, config.output_path)
@@ -268,7 +295,8 @@ def _run_simulate(config: RunConfig) -> int:
 
 def _run_report(config: RunConfig) -> int:
     try:
-        with config.input_path.open(newline="", encoding="utf-8") as handle:
+        # utf-8-sig drops a byte-order mark, as the panel reader does
+        with config.input_path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.DictReader(handle)
             header = reader.fieldnames or []
             missing = [name for name in REPORT_COLUMNS if name not in header]
@@ -281,6 +309,13 @@ def _run_report(config: RunConfig) -> int:
             rows = list(reader)
     except UnicodeDecodeError:
         print(_not_utf8(config.input_path), file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except csv.Error as exc:
+        print(
+            # DictReader.line_num is set only after a row parses; its reader's is current
+            f"{config.input_path} is not a paradox report: line {reader.reader.line_num}: {exc}",
+            file=sys.stderr,
+        )
         return EXIT_INPUT_ERROR
     # csv.DictReader fills the fields a short row lacks with None
     short = next((line for line, row in enumerate(rows, start=2) if None in row.values()), None)

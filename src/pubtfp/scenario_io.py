@@ -265,11 +265,31 @@ _SIMULATION_OPTIONAL = frozenset(
 )
 
 
-def _exactly_one(mapping: Mapping[str, Any], keys: tuple[str, ...], where: str) -> str:
-    present = [key for key in keys if key in mapping]
-    if len(present) != 1:
+# Each piece of a simulation is a constant or per-year lists, never both:
+# (constant key, list keys), checked in this order
+_PIECES = (
+    ("level_growth", ("levels",)),
+    ("bundle", ("capital", "labor")),
+    ("prices", ("capital_price", "wage")),
+)
+
+
+def _given_as_lists(
+    mapping: Mapping[str, Any], constant: str, lists: tuple[str, ...], where: str
+) -> bool:
+    """Whether a piece comes as its per-year lists; exactly one form must be given."""
+    given = [key for key in lists if key in mapping]
+    if len(lists) == 1 and (constant in mapping) == bool(given):
+        keys = (*lists, constant)
+        present = [key for key in keys if key in mapping]
         raise ScenarioError(f"{where} needs exactly one of {keys!r}, got {present!r}")
-    return present[0]
+    if constant in mapping and given:
+        raise ScenarioError(f"{where}: give {constant} or {'/'.join(lists)} lists, not both")
+    if given and len(given) != len(lists):
+        raise ScenarioError(f"{where}: {' and '.join(lists)} lists must come together")
+    if not given and constant not in mapping:
+        raise ScenarioError(f"{where}: needs {constant} or {'/'.join(lists)} lists")
+    return bool(given)
 
 
 def load_simulation(path: str | Path) -> SimulationSpec:
@@ -290,29 +310,13 @@ def load_simulation(path: str | Path) -> SimulationSpec:
     _check_keys(mapping, _SIMULATION_REQUIRED, _SIMULATION_OPTIONAL, where)
 
     technology = _technology(mapping["technology"], f"{where}.technology")
-    level_key = _exactly_one(mapping, ("levels", "level_growth"), where)
-    if "bundle" in mapping and ("capital" in mapping or "labor" in mapping):
-        raise ScenarioError(f"{where}: give bundle or capital/labor lists, not both")
-    if ("capital" in mapping) != ("labor" in mapping):
-        raise ScenarioError(f"{where}: capital and labor lists must come together")
-    if "bundle" not in mapping and "capital" not in mapping:
-        raise ScenarioError(f"{where}: needs bundle or capital/labor lists")
-    if "prices" in mapping and ("capital_price" in mapping or "wage" in mapping):
-        raise ScenarioError(f"{where}: give prices or capital_price/wage lists, not both")
-    if ("capital_price" in mapping) != ("wage" in mapping):
-        raise ScenarioError(f"{where}: capital_price and wage lists must come together")
-    if "prices" not in mapping and "capital_price" not in mapping:
-        raise ScenarioError(f"{where}: needs prices or capital_price/wage lists")
-
-    series: dict[str, tuple[float, ...]] = {}
-    if level_key == "levels":
-        series["levels"] = _number_list(mapping["levels"], f"{where}.levels")
-    if "capital" in mapping:
-        series["capital"] = _number_list(mapping["capital"], f"{where}.capital")
-        series["labor"] = _number_list(mapping["labor"], f"{where}.labor")
-    if "capital_price" in mapping:
-        series["capital_price"] = _number_list(mapping["capital_price"], f"{where}.capital_price")
-        series["wage"] = _number_list(mapping["wage"], f"{where}.wage")
+    list_keys = [
+        key
+        for constant, lists in _PIECES
+        if _given_as_lists(mapping, constant, lists, where)
+        for key in lists
+    ]
+    series = {key: _number_list(mapping[key], f"{where}.{key}") for key in list_keys}
 
     lengths = {name: len(values) for name, values in series.items()}
     if "years" in mapping:
@@ -325,7 +329,7 @@ def load_simulation(path: str | Path) -> SimulationSpec:
     if n < 2:
         raise ScenarioError(f"{where}: a simulation needs at least 2 years, got {n}")
 
-    if level_key == "level_growth":
+    if "levels" not in series:
         growth = _number(mapping["level_growth"], f"{where}.level_growth")
         if growth <= -1.0:
             raise ScenarioError(f"{where}.level_growth must exceed -1, got {growth!r}")

@@ -454,3 +454,59 @@ class TestShippedOutputs:
             "indices_plot.csv": "b879acad70f545df639fe2c02621819da24622aa500980a07c4ec5bc7d889a73",
         }
         capsys.readouterr()
+
+
+class TestMoreUnreadableInputs:
+    """Oversized cells, a byte-order mark and out-of-range indices: exit 1, no traceback."""
+
+    def test_oversized_panel_cell_names_the_file_and_line(self, tmp_path):
+        panel = tmp_path / "panel.csv"
+        panel.write_text(
+            PANEL_HEADER + "1995,AA,edu,1.0,1.0,1.0,1.0,0.6,0.4\n"
+            f"1996,AA,{'x' * 200_000},1.0,1.0,1.0,1.0,0.6,0.4\n",
+            encoding="utf-8",
+        )
+        proc = run_cli("accounting", "--input", panel, "--output", tmp_path / "indices.csv")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"pubtfp: panel {panel}, line 3: field larger than field limit" in proc.stderr
+
+    def test_oversized_report_cell_names_the_file_and_line(self, tmp_path):
+        report = tmp_path / "report.csv"
+        report.write_text(
+            ",".join(REPORT_COLUMNS) + f"\n{'x' * 200_000},1,,,,,,,,oops\n", encoding="utf-8"
+        )
+        proc = run_cli("report", "--input", report)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"{report} is not a paradox report: line 2: field larger than" in proc.stderr
+
+    def test_report_with_a_byte_order_mark_is_read(self, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        main(["paradox", "--input", str(PARADOX_FILE), "--output", str(report)])
+        capsys.readouterr()
+        report.write_bytes(b"\xef\xbb\xbf" + report.read_bytes())
+        assert main(["report", "--input", str(report)]) == 0
+        assert "5 scenario(s): 5 confirmed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "first, second, log_change",
+        [("1e300", "1e-300", "-1381.55"), ("1e-300", "1e300", "1381.55")],
+        ids=["underflow", "overflow"],
+    )
+    def test_index_out_of_float_range_names_the_series_and_year(
+        self, tmp_path, first, second, log_change
+    ):
+        panel = tmp_path / "panel.csv"
+        panel.write_text(
+            PANEL_HEADER + f"1995,AA,edu,{first},1.0,1.0,1.0,0.6,0.4\n"
+            f"1996,AA,edu,{second},1.0,1.0,1.0,0.6,0.4\n",
+            encoding="utf-8",
+        )
+        proc = run_cli("accounting", "--input", panel, "--output", tmp_path / "indices.csv")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert (
+            "pubtfp: TFP index of AA/edu leaves the float range in 1996 "
+            f"(log change {log_change} from base year 1995)"
+        ) in proc.stderr

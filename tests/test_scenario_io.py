@@ -347,3 +347,52 @@ simulation:
 """
         with pytest.raises(InvalidParameterError):
             load_simulation(write(tmp_path, text))
+
+
+_LEVEL = "  level_growth: 0.01\n"
+_BUNDLE = "  bundle: {capital: 1, labor: 1}\n"
+_PRICES = "  prices: {capital_price: 1, wage: 1}\n"
+
+
+class TestSimulationPieceTexts:
+    """Each piece comes as a constant or as per-year lists: exact texts and their order."""
+
+    @pytest.mark.parametrize(
+        "body, text",
+        [
+            ("  levels: [1, 1]\n" + _LEVEL + _BUNDLE + _PRICES,
+             " needs exactly one of ('levels', 'level_growth'), got ['levels', 'level_growth']"),
+            (_BUNDLE + _PRICES + "  years: 2\n",
+             " needs exactly one of ('levels', 'level_growth'), got []"),
+            (_LEVEL + _BUNDLE + "  capital: [1, 1]\n" + _PRICES,
+             ": give bundle or capital/labor lists, not both"),
+            (_LEVEL + "  labor: [1, 1]\n" + _PRICES,
+             ": capital and labor lists must come together"),
+            (_LEVEL + _PRICES + "  years: 2\n",
+             ": needs bundle or capital/labor lists"),
+            (_LEVEL + _BUNDLE + _PRICES + "  wage: [1, 1]\n",
+             ": give prices or capital_price/wage lists, not both"),
+            (_LEVEL + _BUNDLE + "  capital_price: [1, 1]\n",
+             ": capital_price and wage lists must come together"),
+            (_LEVEL + _BUNDLE + "  years: 2\n",
+             ": needs prices or capital_price/wage lists"),
+            # several problems at once: levels, then bundle, then prices;
+            # within a piece "not both", then "together", then "needs"
+            ("  labor: [1, 1]\n" + _PRICES + "  wage: [1, 1]\n",
+             " needs exactly one of ('levels', 'level_growth'), got []"),
+            (_LEVEL + _BUNDLE + "  labor: [1, 1]\n" + _PRICES + "  wage: [1, 1]\n",
+             ": give bundle or capital/labor lists, not both"),
+            (_LEVEL + "  wage: [1, 1]\n" + "  years: 2\n",
+             ": needs bundle or capital/labor lists"),
+        ],
+        ids=[
+            "levels-both", "levels-neither", "bundle-both", "bundle-pair", "bundle-neither",
+            "prices-both", "prices-pair", "prices-neither", "levels-first", "not-both-first",
+            "bundle-before-prices",
+        ],
+    )
+    def test_exact_text(self, tmp_path, body, text):
+        path = write(tmp_path, SIM_HEADER + body)
+        with pytest.raises(ScenarioError) as caught:
+            load_simulation(path)
+        assert str(caught.value) == f"{path}: simulation{text}"
