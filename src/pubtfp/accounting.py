@@ -27,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     InvalidParameterError,
@@ -36,8 +36,9 @@ from .errors import (
     SeriesError,
     _not_utf8,
 )
-from .measurement import cost_based_value_added
-from .technology import FactorPrices, InputBundle, Technology
+
+if TYPE_CHECKING:
+    from .technology import Technology
 
 __all__ = [
     "PANEL_COLUMNS",
@@ -467,6 +468,8 @@ def simulate_sna_panel(spec: SimulationSpec) -> list[PanelObservation]:
     frontier output; the pipeline then mirrors frontier growth, falling
     at the rate of technical progress when spending is flat.
     """
+    from .measurement import cost_based_value_added
+    from .technology import FactorPrices, InputBundle
     observations: list[PanelObservation] = []
     for step in range(spec.years):
         current = spec.technology.with_level(spec.levels[step])
@@ -486,17 +489,23 @@ def simulate_sna_panel(spec: SimulationSpec) -> list[PanelObservation]:
             va_deflator = spec.levels[step] / spec.levels[0]
             capital_share = spec.capital_price[step] * bundle.capital / factor_bill
             labor_share = spec.wage[step] * bundle.labor / factor_bill
-        observations.append(
-            PanelObservation(
-                year=spec.start_year + step,
-                country=spec.country,
-                industry=spec.industry,
-                va_nominal=va_nominal,
-                va_deflator=va_deflator,
-                capital_services=bundle.capital,
-                labor_input=bundle.labor,
-                labor_share=labor_share,
-                capital_share=capital_share,
+        year = spec.start_year + step
+        try:
+            observations.append(
+                PanelObservation(
+                    year=year,
+                    country=spec.country,
+                    industry=spec.industry,
+                    va_nominal=va_nominal,
+                    va_deflator=va_deflator,
+                    capital_services=bundle.capital,
+                    labor_input=bundle.labor,
+                    labor_share=labor_share,
+                    capital_share=capital_share,
+                )
             )
-        )
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(
+                f"simulated row {spec.country}/{spec.industry} {year}: {exc}"
+            ) from None
     return observations

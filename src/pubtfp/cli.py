@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import logging
 import os
 import sys
 from dataclasses import dataclass, field
@@ -267,6 +266,7 @@ def _default_plot_path(output_path: Path) -> Path:
 
 
 def _run_accounting(config: RunConfig) -> int:
+    _configure_logging()
     _bind("accounting")
     observations = ingest_panel(config.input_path)
     base_year = 1995 if config.base_year is None else config.base_year
@@ -282,6 +282,7 @@ def _run_accounting(config: RunConfig) -> int:
 
 
 def _run_simulate(config: RunConfig) -> int:
+    _configure_logging()
     _bind("scenario_io", "accounting")
     spec = load_simulation(config.input_path)
     observations = simulate_sna_panel(spec)
@@ -354,6 +355,7 @@ _HANDLERS = {
 
 
 def _configure_logging() -> None:
+    import logging  # only the accounting module logs, so paradox and report never load this
     name = os.environ.get("PUBTFP_LOG_LEVEL", "WARNING").upper()
     level = getattr(logging, name, None)
     if not isinstance(level, int):
@@ -362,7 +364,6 @@ def _configure_logging() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     config = _config_from_args(args)

@@ -12,15 +12,14 @@ nothing sensible to salvage from a partial one.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import yaml
 
-from .accounting import SimulationSpec
 from .errors import PubTfpError, ScenarioError, _not_utf8
 from .measurement import PricedOutput, PricingScheme
-from .paradoxes import PARADOX_IDS, FailedScenario, Scenario
 from .technology import (
     Ces,
     CobbDouglas,
@@ -31,6 +30,10 @@ from .technology import (
     TechnologyShift,
     TwoLevelCes,
 )
+
+if TYPE_CHECKING:
+    from .accounting import SimulationSpec
+    from .paradoxes import FailedScenario, Scenario
 
 __all__ = ["load_scenarios", "load_simulation"]
 
@@ -178,10 +181,10 @@ _SCENARIO_REQUIRED = frozenset({"name", "paradox", "technology", "bundle"})
 _SCENARIO_OPTIONAL = frozenset(_SCENARIO_KEYS) - _SCENARIO_REQUIRED
 
 
-def _scenario(entry: Any, where: str) -> Scenario:
+def _scenario(entry: Any, where: str, make: type[Scenario]) -> Scenario:
     mapping = _require_mapping(entry, where)
     _check_keys(mapping, _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL, where)
-    return Scenario(
+    return make(
         **{
             attribute: parse(mapping[key], f"{where}.{key}")
             for key, (attribute, parse) in _SCENARIO_KEYS.items()
@@ -190,7 +193,7 @@ def _scenario(entry: Any, where: str) -> Scenario:
     )
 
 
-def _entry_identity(entry: Any, position: int) -> tuple[str, int]:
+def _entry_identity(entry: Any, position: int, paradox_ids: tuple[int, ...]) -> tuple[str, int]:
     """Best-effort name and paradox id for reporting a failed entry."""
     name = f"scenario-{position + 1}"
     paradox_id = 0
@@ -199,7 +202,7 @@ def _entry_identity(entry: Any, position: int) -> tuple[str, int]:
         if isinstance(raw_name, str) and raw_name:
             name = raw_name
         raw_id = entry.get("paradox")
-        if not isinstance(raw_id, bool) and raw_id in PARADOX_IDS:
+        if not isinstance(raw_id, bool) and raw_id in paradox_ids:
             paradox_id = raw_id
     return name, paradox_id
 
@@ -221,6 +224,7 @@ def load_scenarios(path: str | Path) -> list[Scenario | FailedScenario]:
     cannot be built are returned as :class:`FailedScenario` records in
     place, preserving file order.
     """
+    from .paradoxes import PARADOX_IDS, FailedScenario, Scenario
     path = Path(path)
     document = _load_yaml(path)
     if document is None:
@@ -236,9 +240,9 @@ def load_scenarios(path: str | Path) -> list[Scenario | FailedScenario]:
     for position, entry in enumerate(entries):
         where = f"{path}: scenario {position + 1}"
         try:
-            result.append(_scenario(entry, where))
+            result.append(_scenario(entry, where, Scenario))
         except PubTfpError as exc:
-            name, paradox_id = _entry_identity(entry, position)
+            name, paradox_id = _entry_identity(entry, position, PARADOX_IDS)
             result.append(FailedScenario(name=name, error=str(exc), paradox_id=paradox_id))
     names = [s.name for s in result]
     if len(set(names)) != len(names):
@@ -302,6 +306,7 @@ def load_simulation(path: str | Path) -> SimulationSpec:
     same length; ``years`` pins the length and is required when every
     piece is constant.
     """
+    from .accounting import SimulationSpec
     path = Path(path)
     document = _require_mapping(_load_yaml(path), f"{path}")
     _check_keys(document, frozenset({"simulation"}), frozenset(), f"{path}")
@@ -333,7 +338,19 @@ def load_simulation(path: str | Path) -> SimulationSpec:
         growth = _number(mapping["level_growth"], f"{where}.level_growth")
         if growth <= -1.0:
             raise ScenarioError(f"{where}.level_growth must exceed -1, got {growth!r}")
-        series["levels"] = tuple(technology.level * (1.0 + growth) ** t for t in range(n))
+        levels = []
+        for t in range(n):
+            try:
+                levels.append(technology.level * (1.0 + growth) ** t)
+            except OverflowError:
+                levels.append(math.inf)
+            if not 0.0 < levels[-1] < math.inf:
+                year = _integer(mapping["start_year"], f"{where}.start_year") + t
+                raise ScenarioError(
+                    f"{where}.level_growth {growth!r} takes the technology level out of "
+                    f"the float range in year {year}"
+                )
+        series["levels"] = tuple(levels)
     if "capital" not in series:
         bundle = _bundle(mapping["bundle"], f"{where}.bundle")
         series["capital"] = (bundle.capital,) * n

@@ -510,3 +510,57 @@ class TestMoreUnreadableInputs:
             "pubtfp: TFP index of AA/edu leaves the float range in 1996 "
             f"(log change {log_change} from base year 1995)"
         ) in proc.stderr
+
+
+class TestSimulationOutOfRange:
+    """A simulation config that leaves the float range names its key or row and exits 1."""
+
+    @pytest.mark.parametrize(
+        "growth, year", [("0.01", 73328), ("-0.5", 3070)], ids=["overflow", "underflow"]
+    )
+    def test_level_growth_names_the_key_and_year(self, tmp_path, growth, year):
+        config = tmp_path / "sim.yaml"
+        config.write_text(
+            SIMULATION_FILE.read_text(encoding="utf-8")
+            .replace("years: 26", "years: 80000")
+            .replace("level_growth: 0.01", f"level_growth: {growth}"),
+            encoding="utf-8",
+        )
+        proc = run_cli("simulate", "--input", config, "--output", tmp_path / "panel.csv")
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert (
+            f"pubtfp: {config}: simulation.level_growth {growth} takes the technology level "
+            f"out of the float range in year {year}"
+        ) in proc.stderr
+
+    @pytest.mark.parametrize(
+        "convention, levels, column",
+        [
+            ("market", "[1.0e+300, 1.0e+307]", "va_nominal"),
+            ("sna-cost", "[1.0e-300, 1.0e+300]", "va_deflator"),
+        ],
+        ids=["market", "sna-cost"],
+    )
+    def test_out_of_range_row_names_the_series_and_year(
+        self, tmp_path, convention, levels, column
+    ):
+        config = tmp_path / "sim.yaml"
+        config.write_text(
+            f"""\
+simulation:
+  convention: {convention}
+  start_year: 1995
+  levels: {levels}
+  technology: {{family: cobb-douglas, alpha_capital: 0.3, alpha_labor: 0.7}}
+  bundle: {{capital: 1000.0, labor: 1000.0}}
+  prices: {{capital_price: 1.0, wage: 1.0}}
+""",
+            encoding="utf-8",
+        )
+        proc = run_cli("simulate", "--input", config, "--output", tmp_path / "panel.csv")
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert (
+            f"pubtfp: simulated row SIM/public 1996: {column} must be strictly positive, got inf"
+        ) in proc.stderr

@@ -132,6 +132,53 @@ class TestLeanImports:
         assert loaded_after(code, heavy) == []
 
 
+# subcommand -> the pubtfp submodules it loads, and whether PyYAML and logging
+# load too. Under ``python -m`` the CLI runs as __main__, so pubtfp.cli itself
+# appears only if something imports it a second time.
+IMPORT_GRAPH = {
+    "paradox": (
+        {"errors", "scenario_io", "paradoxes", "efficiency", "measurement", "technology"},
+        True,
+        False,
+    ),
+    "simulate": ({"errors", "scenario_io", "accounting", "measurement", "technology"}, True, True),
+    "accounting": ({"errors", "accounting"}, False, True),
+    "report": ({"errors"}, False, False),
+}
+
+
+class TestImportGraph:
+    @pytest.fixture
+    def argv(self, tmp_path, capsys):
+        report, panel = tmp_path / "report.csv", tmp_path / "panel.csv"
+        assert main(["paradox", "--input", str(PARADOX_FILE), "--output", str(report)]) == 0
+        assert main(["simulate", "--input", str(SIMULATION_FILE), "--output", str(panel)]) == 0
+        capsys.readouterr()
+        return {
+            "paradox": ["paradox", "--input", str(PARADOX_FILE), "--output", str(tmp_path / "r.csv")],
+            "simulate": ["simulate", "--input", str(SIMULATION_FILE), "--output", str(tmp_path / "p.csv")],
+            "accounting": ["accounting", "--input", str(panel), "--output", str(tmp_path / "i.csv")],
+            "report": ["report", "--input", str(report)],
+        }
+
+    @pytest.mark.parametrize("command", sorted(IMPORT_GRAPH))
+    def test_subcommand_loads_only_its_modules(self, argv, command):
+        # sys.modules, not -X importtime: the latter misses import_module() loads
+        proc = python(
+            "import runpy, sys\n"
+            f"sys.argv = ['pubtfp', *{argv[command]!r}]\n"
+            "try:\n"
+            "    runpy.run_module('pubtfp.cli', run_name='__main__')\n"
+            "except SystemExit as exit:\n"
+            "    assert exit.code == 0, exit.code\n"
+            "print(sorted(m[len('pubtfp.'):] for m in sys.modules if m.startswith('pubtfp.')),"
+            " 'yaml' in sys.modules, 'logging' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        modules, yaml_loaded, logging_loaded = IMPORT_GRAPH[command]
+        assert proc.stdout.splitlines()[-1] == f"{sorted(modules)} {yaml_loaded} {logging_loaded}"
+
+
 class TestPatchableCliNames:
     """A replacement set on pubtfp.cli from outside is what main calls."""
 
