@@ -77,7 +77,7 @@ SIMULATION_CONVENTIONS = ("sna-cost", "market")
 _SHARE_SUM_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PanelObservation:
     """One industry-year row of a growth-accounting panel.
 
@@ -102,22 +102,24 @@ class PanelObservation:
         if not self.country or not self.industry:
             raise InvalidParameterError("country and industry must be nonempty strings")
         for name in ("va_nominal", "va_deflator", "capital_services", "labor_input"):
-            value = self._as_float(name)
+            value = getattr(self, name)
+            if type(value) is not float:
+                value = float(value)
+                object.__setattr__(self, name, value)
             if not 0.0 < value < math.inf:
-                raise InvalidParameterError(
-                    f"{name} must be strictly positive, got {getattr(self, name)!r}"
-                )
+                raise InvalidParameterError(f"{name} must be strictly positive, got {value!r}")
         if not 0.0 < self.va_nominal / self.va_deflator < math.inf:
             raise InvalidParameterError(
                 f"real value added va_nominal / va_deflator must be finite and positive, "
                 f"got {self.va_nominal!r} / {self.va_deflator!r}"
             )
         for name in ("labor_share", "capital_share"):
-            value = self._as_float(name)
+            value = getattr(self, name)
+            if type(value) is not float:
+                value = float(value)
+                object.__setattr__(self, name, value)
             if not 0.0 <= value <= 1.0:
-                raise InvalidParameterError(
-                    f"{name} must lie in [0, 1], got {getattr(self, name)!r}"
-                )
+                raise InvalidParameterError(f"{name} must lie in [0, 1], got {value!r}")
         total = self.labor_share + self.capital_share
         if total <= 0.0:
             raise InvalidParameterError("factor shares cannot both be zero")
@@ -131,14 +133,6 @@ class PanelObservation:
             )
             object.__setattr__(self, "labor_share", self.labor_share / total)
             object.__setattr__(self, "capital_share", self.capital_share / total)
-
-    def _as_float(self, name: str) -> float:
-        """The field as a float, converting and storing it only when it is not one."""
-        value = getattr(self, name)
-        if type(value) is not float:
-            value = float(value)
-            object.__setattr__(self, name, value)
-        return value
 
     @property
     def real_value_added(self) -> float:
@@ -170,11 +164,32 @@ def tornqvist_tfp_growth(previous: PanelObservation, current: PanelObservation) 
         raise SeriesError(
             f"observations out of order: year {previous.year} then {current.year}"
         )
-    dlog_va = math.log(current.real_value_added) - math.log(previous.real_value_added)
-    dlog_k = math.log(current.capital_services) - math.log(previous.capital_services)
-    dlog_l = math.log(current.labor_input) - math.log(previous.labor_input)
-    mean_capital_share = 0.5 * (previous.capital_share + current.capital_share)
-    mean_labor_share = 0.5 * (previous.labor_share + current.labor_share)
+    return _log_growth(_log_point(previous), _log_point(current))
+
+
+_LogPoint = tuple[float, float, float, float, float]
+
+
+def _log_point(row: PanelObservation) -> _LogPoint:
+    """A row's logs of real value added, capital and labor, then its capital and labor shares."""
+    return (
+        math.log(row.real_value_added),
+        math.log(row.capital_services),
+        math.log(row.labor_input),
+        row.capital_share,
+        row.labor_share,
+    )
+
+
+def _log_growth(previous: _LogPoint, current: _LogPoint) -> float:
+    """The Tornqvist log TFP growth between two rows' log points."""
+    log_va_0, log_k_0, log_l_0, capital_share_0, labor_share_0 = previous
+    log_va_1, log_k_1, log_l_1, capital_share_1, labor_share_1 = current
+    dlog_va = log_va_1 - log_va_0
+    dlog_k = log_k_1 - log_k_0
+    dlog_l = log_l_1 - log_l_0
+    mean_capital_share = 0.5 * (capital_share_0 + capital_share_1)
+    mean_labor_share = 0.5 * (labor_share_0 + labor_share_1)
     return dlog_va - mean_capital_share * dlog_k - mean_labor_share * dlog_l
 
 
@@ -240,7 +255,7 @@ def build_index(observations: Iterable[PanelObservation], base_year: int) -> Tfp
     must cover consecutive years with no duplicates; the base year must be
     one of them.
     """
-    rows = sorted(observations, key=lambda o: o.year)
+    rows = sorted(observations, key=operator.attrgetter("year"))
     if not rows:
         raise SeriesError("cannot build an index from an empty series")
     keys = {row.key for row in rows}
@@ -258,9 +273,11 @@ def build_index(observations: Iterable[PanelObservation], base_year: int) -> Tfp
         raise MissingBaseYearError(
             f"base year {base_year} is outside the series range {years[0]}..{years[-1]}"
         )
+    # the checks above are the ones tornqvist_tfp_growth makes per pair
+    points = list(map(_log_point, rows))
     log_levels = [0.0]
-    for earlier, later in zip(rows, rows[1:]):
-        log_levels.append(log_levels[-1] + tornqvist_tfp_growth(earlier, later))
+    for earlier, later in zip(points, points[1:]):
+        log_levels.append(log_levels[-1] + _log_growth(earlier, later))
     base_log = log_levels[years.index(base_year)]
     country, industry = rows[0].key
     values = []
@@ -290,7 +307,7 @@ def build_indices(
     return {key: build_index(rows, base_year) for key, rows in sorted(groups.items())}
 
 
-def _non_number(raw_numbers: list[str]) -> str:
+def _non_number(raw_numbers: Iterable[str]) -> str:
     """Name the first of a row's number fields that float() rejects."""
     for name, raw in zip(PANEL_COLUMNS[3:], raw_numbers):
         try:
@@ -336,23 +353,29 @@ def ingest_panel(path: str | Path) -> list[PanelObservation]:
                 if "" in fields:
                     problems.append(f"row {line}: empty or missing fields")
                     continue
-                year, country, industry, *numbers = fields
                 try:
-                    year = int(year)
+                    year = int(fields[0])
                 except ValueError:
-                    problems.append(f"row {line}: year {year!r} is not an integer")
+                    problems.append(f"row {line}: year {fields[0]!r} is not an integer")
                     continue
                 try:
-                    numbers = list(map(float, numbers))
+                    numbers = (
+                        float(fields[3]),
+                        float(fields[4]),
+                        float(fields[5]),
+                        float(fields[6]),
+                        float(fields[7]),
+                        float(fields[8]),
+                    )
                 except ValueError:
-                    problems.append(f"row {line}: {_non_number(numbers)}")
+                    problems.append(f"row {line}: {_non_number(fields[3:])}")
                     continue
                 try:
-                    obs = PanelObservation(year, country, industry, *numbers)
+                    obs = PanelObservation(year, fields[1], fields[2], *numbers)
                 except InvalidParameterError as exc:
                     problems.append(f"row {line}: {exc}")
                     continue
-                key = (year, country, industry)
+                key = (year, fields[1], fields[2])
                 if key in seen:
                     problems.append(f"row {line}: duplicate of row {seen[key]} for {key!r}")
                     continue
@@ -441,7 +464,7 @@ class SimulationSpec:
             )
         paths = ("levels", "capital", "labor", "capital_price", "wage")
         for name in paths:
-            values = tuple(float(v) for v in getattr(self, name))
+            values = tuple(map(float, getattr(self, name)))
             if any(not math.isfinite(v) or v <= 0.0 for v in values):
                 raise InvalidParameterError(f"{name} path must be strictly positive throughout")
             object.__setattr__(self, name, values)
@@ -472,12 +495,9 @@ def simulate_sna_panel(spec: SimulationSpec) -> list[PanelObservation]:
     from .technology import FactorPrices, InputBundle
     observations: list[PanelObservation] = []
     for step in range(spec.years):
-        current = spec.technology.with_level(spec.levels[step])
         bundle = InputBundle(capital=spec.capital[step], labor=spec.labor[step])
-        factor_bill = cost_based_value_added(
-            FactorPrices(spec.capital_price[step], spec.wage[step]), bundle
-        )
         if spec.convention == "market":
+            current = spec.technology.with_level(spec.levels[step])
             output = current.output(bundle)
             mp_capital, mp_labor = current.marginal_products(bundle)
             va_nominal = output
@@ -485,6 +505,9 @@ def simulate_sna_panel(spec: SimulationSpec) -> list[PanelObservation]:
             capital_share = mp_capital * bundle.capital / output
             labor_share = mp_labor * bundle.labor / output
         else:  # sna-cost
+            factor_bill = cost_based_value_added(
+                FactorPrices(spec.capital_price[step], spec.wage[step]), bundle
+            )
             va_nominal = factor_bill
             va_deflator = spec.levels[step] / spec.levels[0]
             capital_share = spec.capital_price[step] * bundle.capital / factor_bill

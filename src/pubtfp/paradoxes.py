@@ -412,6 +412,16 @@ def run_scenario(scenario: Scenario, tolerances: Tolerances = Tolerances()) -> P
     return run(scenario, tolerances)
 
 
+def _where(scenario: Scenario) -> str:
+    """The paradox, technology family and bundle a scenario runs at."""
+    bundle = scenario.bundle
+    inputs = f"capital={bundle.capital!r} labor={bundle.labor!r}"
+    if bundle.intermediates is not None:
+        inputs += f" intermediates={bundle.intermediates!r}"
+    family = scenario.technology.family
+    return f"paradox {scenario.paradox_id}, {family} technology at bundle {inputs}"
+
+
 def run_all(
     scenarios: Union[str, "PathLike[str]", Iterable[Union[Scenario, FailedScenario]]],
     tolerances: Tolerances = Tolerances(),
@@ -434,8 +444,10 @@ def run_all(
         else:
             try:
                 report = run_scenario(scenario, tolerances)
-            except (NoConvergenceError, ArithmeticError) as exc:
+            except NoConvergenceError as exc:
                 error, error_kind = str(exc), "internal"
+            except ArithmeticError as exc:  # Python's own text names no input
+                error, error_kind = f"{_where(scenario)}: {exc}", "internal"
             except PubTfpError as exc:
                 error, error_kind = str(exc), "input"
         outcomes.append(

@@ -28,7 +28,7 @@ to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError, InvalidParameterError
 
@@ -75,7 +75,7 @@ def _ces_sum(weight: float, a: float, b: float, rho: float) -> float:
     return weight * a ** rho + (1.0 - weight) * b ** rho
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InputBundle:
     """Real input quantities: capital services, labor, optional intermediates."""
 
@@ -164,7 +164,11 @@ class Technology:
         return self.level * self.core_output(bundle)
 
     def with_level(self, level: float) -> "Technology":
-        return replace(self, level=level)  # type: ignore[type-var]
+        # every other field was validated when self was built, so only the level is checked
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        object.__setattr__(twin, "level", _require_positive("level", level))
+        return twin
 
     def _check_bundle(self, bundle: InputBundle) -> None:
         if bundle.capital == 0.0 and bundle.labor == 0.0:

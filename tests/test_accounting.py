@@ -2,6 +2,8 @@ import logging
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pubtfp.accounting import (
     INDEX_COLUMNS,
@@ -480,3 +482,57 @@ class TestSimulatedPanels:
         )
         series = build_index(simulate_sna_panel(spec), 1995)
         assert series.value_at(1996) == pytest.approx(105.0, rel=1e-10)
+
+
+POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def series_rows(draw):
+    """2..12 consecutive rows of one series; shares may need renormalizing."""
+    start = draw(st.integers(1980, 2000))
+    rows = []
+    for year in range(start, start + draw(st.integers(2, 12))):
+        labor_share = draw(st.floats(min_value=0.01, max_value=1.0))
+        capital_share = draw(
+            st.one_of(st.just(1.0 - labor_share), st.floats(min_value=0.0, max_value=1.0))
+        )
+        rows.append(
+            obs(
+                year, va=draw(POSITIVE), deflator=draw(POSITIVE), k=draw(POSITIVE),
+                labor=draw(POSITIVE), labor_share=labor_share, capital_share=capital_share,
+            )
+        )
+    return rows
+
+
+class TestOneTornqvistFormula:
+    """build_index cumulates exactly tornqvist_tfp_growth, which is the textbook formula."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_index_is_the_cumulated_pairwise_growth(self, data):
+        rows = data.draw(series_rows())
+        base_year = data.draw(st.sampled_from([row.year for row in rows]))
+        log_levels = [0.0]
+        for earlier, later in zip(rows, rows[1:]):
+            log_levels.append(log_levels[-1] + tornqvist_tfp_growth(earlier, later))
+        base_log = log_levels[base_year - rows[0].year]
+        expected = tuple(100.0 * math.exp(level - base_log) for level in log_levels)
+        series = build_index(data.draw(st.permutations(rows)), base_year)
+        assert series.values == expected
+        assert series.years == tuple(row.year for row in rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=series_rows())
+    def test_pairwise_growth_is_the_two_period_mean_share_formula(self, rows):
+        previous, current = rows[:2]
+        expected = (
+            (math.log(current.va_nominal / current.va_deflator)
+             - math.log(previous.va_nominal / previous.va_deflator))
+            - 0.5 * (previous.capital_share + current.capital_share)
+            * (math.log(current.capital_services) - math.log(previous.capital_services))
+            - 0.5 * (previous.labor_share + current.labor_share)
+            * (math.log(current.labor_input) - math.log(previous.labor_input))
+        )
+        assert tornqvist_tfp_growth(previous, current) == expected

@@ -331,6 +331,19 @@ class TestRunAll:
         assert outcomes[0].error_kind == "internal"
         assert outcomes[0].report is None
 
+    def test_overflow_rows_name_the_paradox_family_and_bundle(self):
+        overflowing = self.make(
+            "overflow", 1,
+            technology=Ces(capital_weight=0.4, substitution=-3.0),
+            bundle=InputBundle(1e-200, 1.0), prices=UNIT_PRICES, shift=TechnologyShift(1.25),
+        )
+        (outcome,) = run_all([overflowing])
+        assert outcome.error_kind == "internal"
+        assert outcome.error.startswith(
+            "paradox 1, ces technology at bundle capital=1e-200 labor=1.0: "
+        )
+        assert "out of range" in outcome.error
+
     def test_one_bad_entry_does_not_stop_the_rest(self):
         scenarios = [
             self.make("bad", 1, prices=UNIT_PRICES),  # missing shift

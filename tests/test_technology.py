@@ -1,6 +1,9 @@
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pubtfp.errors import DomainError, InvalidParameterError
 from pubtfp.technology import (
@@ -300,3 +303,39 @@ class TestShiftAndTrueTfp:
         b = InputBundle(2.0, 5.0)
         mp_k, mp_l = marginal_products(tech, b)
         assert mrts(tech, b) == mp_k / mp_l
+
+
+FAMILIES = (
+    CobbDouglas(alpha_capital=0.3, alpha_labor=0.7, level=1.5),
+    Ces(capital_weight=0.4, substitution=-0.7, returns_to_scale=0.9, level=2.0),
+    HomotheticTranslog(inner_alpha_capital=0.3, slope=1.05, curvature=-0.02),
+    TwoLevelCes(
+        capital_weight=0.4,
+        inner_substitution=-0.5,
+        value_added_weight=0.6,
+        outer_substitution=0.3,
+        returns_to_scale=0.95,
+    ),
+)
+
+
+class TestWithLevel:
+    """with_level checks only the new level and must equal a full dataclasses.replace."""
+
+    @pytest.mark.parametrize("tech", FAMILIES, ids=lambda t: t.family)
+    @settings(max_examples=100, deadline=None)
+    @given(level=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_equals_replace(self, tech, level):
+        twin = tech.with_level(level)
+        expected = dataclasses.replace(tech, level=level)
+        assert twin == expected and hash(twin) == hash(expected)
+        assert type(twin) is type(tech) and twin is not tech
+
+    @pytest.mark.parametrize("tech", FAMILIES, ids=lambda t: t.family)
+    @pytest.mark.parametrize("level", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_what_replace_rejects(self, tech, level):
+        with pytest.raises(InvalidParameterError) as replaced:
+            dataclasses.replace(tech, level=level)
+        with pytest.raises(InvalidParameterError) as leveled:
+            tech.with_level(level)
+        assert str(leveled.value) == str(replaced.value)
