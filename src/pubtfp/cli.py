@@ -26,7 +26,7 @@ from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import NoConvergenceError, PubTfpError, _not_utf8
+from .errors import InvalidParameterError, NoConvergenceError, PubTfpError, _not_utf8
 
 if TYPE_CHECKING:
     from .accounting import TfpIndexSeries
@@ -285,7 +285,10 @@ def _run_simulate(config: RunConfig) -> int:
     _configure_logging()
     _bind("scenario_io", "accounting")
     spec = load_simulation(config.input_path)
-    observations = simulate_sna_panel(spec)
+    try:
+        observations = simulate_sna_panel(spec)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{exc} (simulation config {config.input_path})") from None
     write_panel(observations, config.output_path)
     print(
         f"wrote {len(observations)} panel rows ({spec.convention}, "

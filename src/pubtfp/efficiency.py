@@ -40,7 +40,7 @@ _LOG_RATIO_BRACKET = 40.0  # cost-minimizing ln(K/L) must lie in [-40, 40]
 _LOG_SCALE_BRACKET = 20.0  # an interior ln(scale) must lie in (-20, 20)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostMinResult:
     """Cheapest bundle producing a target output, and its cost."""
 
@@ -49,7 +49,7 @@ class CostMinResult:
     target_output: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MpssResult:
     """Scale that maximizes output per unit of a reference bundle.
 

@@ -56,7 +56,8 @@ _PROP1_REL_TOL = 1e-12
 
 
 def _positive(name: str, value: float) -> float:
-    value = float(value)
+    if type(value) is not float:
+        value = float(value)
     if not math.isfinite(value) or value <= 0.0:
         raise InvalidParameterError(f"{name} must be strictly positive, got {value!r}")
     return value
@@ -150,7 +151,7 @@ class PricingScheme:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasuredTfp:
     """A measured-TFP level, its convention, and the ratio's two components."""
 

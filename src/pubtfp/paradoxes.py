@@ -104,7 +104,7 @@ class Tolerances:
         return replace(self, **overrides)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EconomyState:
     """Snapshot of everything a convention can see at one point in time."""
 
@@ -114,7 +114,7 @@ class EconomyState:
     pricing: PricingScheme | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParadoxReport:
     """Before and after measurement for one paradox run."""
 
@@ -174,7 +174,7 @@ class FailedScenario:
     paradox_id: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioOutcome:
     """Result of running one scenario, with any failure captured in place."""
 
@@ -183,10 +183,6 @@ class ScenarioOutcome:
     report: ParadoxReport | None = None
     error: str | None = None
     error_kind: str | None = None  # "input" or "internal" when error is set
-
-
-def _true_level(tech: Technology, bundle: InputBundle) -> float:
-    return true_tfp(tech.output(bundle), tech, bundle)
 
 
 class _Measured(NamedTuple):
@@ -211,13 +207,14 @@ def _compare(
     details: dict[str, float],
 ) -> ParadoxReport:
     """Report one before/after pair: the convention and measured TFP come from the measurements."""
+    first, second = before.state, after.state  # each tfp.denominator is its state's f(bundle)
     return ParadoxReport(
         paradox_id=paradox_id,
         convention=before.tfp.convention,
         measured_before=before.tfp.value,
         measured_after=after.tfp.value,
-        true_tfp_before=_true_level(before.state.technology, before.state.bundle),
-        true_tfp_after=_true_level(after.state.technology, after.state.bundle),
+        true_tfp_before=true_tfp(before.tfp.denominator, first.technology, first.bundle),
+        true_tfp_after=true_tfp(after.tfp.denominator, second.technology, second.bundle),
         welfare_direction=welfare_direction,
         before=before.state,
         after=after.state,
@@ -284,7 +281,8 @@ def run_paradox_3(
     # the proofs' intermediate inequality: when scaling up, output grows more
     # than proportionally; when scaling down, it shrinks less than
     # proportionally. Both read f(s*b)/f(b) > s.
-    output_ratio = mpss.output / tech.output(bundle)
+    rap_before = tech.output(bundle)
+    output_ratio = mpss.output / rap_before
     if output_ratio <= mpss.scale_factor:
         raise NoConvergenceError(
             f"scale move is not productivity-improving: output ratio {output_ratio!r} "
@@ -292,7 +290,6 @@ def run_paradox_3(
         )
     # cost is linear along the ray, so the measured ratio must collapse to
     # the ray average product ratio
-    rap_before = tech.output(bundle)
     measured_ratio = after.tfp.value / before.tfp.value
     predicted_ratio = rap_before / mpss.ray_average_product
     if not math.isclose(

@@ -50,7 +50,8 @@ __all__ = [
 
 
 def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+    if type(value) is not float:
+        value = float(value)
     if not math.isfinite(value):
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")
     return value
@@ -84,12 +85,14 @@ class InputBundle:
     intermediates: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "capital", _require_nonnegative("capital", self.capital))
-        object.__setattr__(self, "labor", _require_nonnegative("labor", self.labor))
-        if self.intermediates is not None:
-            object.__setattr__(
-                self, "intermediates", _require_nonnegative("intermediates", self.intermediates)
-            )
+        # a float already in [0, inf) is kept as given; anything else goes through the validator
+        capital, labor, m = self.capital, self.labor, self.intermediates
+        if not (type(capital) is float and 0.0 <= capital < math.inf):
+            object.__setattr__(self, "capital", _require_nonnegative("capital", capital))
+        if not (type(labor) is float and 0.0 <= labor < math.inf):
+            object.__setattr__(self, "labor", _require_nonnegative("labor", labor))
+        if m is not None and not (type(m) is float and 0.0 <= m < math.inf):
+            object.__setattr__(self, "intermediates", _require_nonnegative("intermediates", m))
 
     def scaled(self, factor: float) -> "InputBundle":
         """Scale every input (including intermediates, when present) by ``factor``."""

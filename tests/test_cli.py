@@ -564,3 +564,38 @@ simulation:
         assert (
             f"pubtfp: simulated row SIM/public 1996: {column} must be strictly positive, got inf"
         ) in proc.stderr
+
+
+class TestSimulationErrorsNameTheConfig:
+    """A row rejected while simulating ends with the config file it came from, exit 1."""
+
+    @pytest.mark.parametrize(
+        "convention, levels, column",
+        [
+            ("market", "[1.0e+300, 1.0e+307]", "va_nominal"),
+            ("sna-cost", "[1.0e-300, 1.0e+300]", "va_deflator"),
+        ],
+        ids=["market", "sna-cost"],
+    )
+    def test_rejected_row_names_the_config_file(self, tmp_path, convention, levels, column):
+        config = tmp_path / "sim.yaml"
+        config.write_text(
+            f"""\
+simulation:
+  convention: {convention}
+  start_year: 1995
+  levels: {levels}
+  technology: {{family: cobb-douglas, alpha_capital: 0.3, alpha_labor: 0.7}}
+  bundle: {{capital: 1000.0, labor: 1000.0}}
+  prices: {{capital_price: 1.0, wage: 1.0}}
+""",
+            encoding="utf-8",
+        )
+        proc = run_cli("simulate", "--input", config, "--output", tmp_path / "panel.csv")
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (
+            f"pubtfp: simulated row SIM/public 1996: {column} must be strictly positive, "
+            f"got inf (simulation config {config})\n"
+        )
+        assert not (tmp_path / "panel.csv").exists()

@@ -1,6 +1,6 @@
-"""Pinned bytes of the accounting path at scale.
+"""Pinned bytes of the accounting and paradox paths at scale.
 
-Every digest below was taken from the code before the accounting path was
+Every digest below was taken from the code before the path it pins was
 reworked for speed, and any change to these stages must keep them. The
 inputs are built here from fixed formulas and ``random.Random(seed)``
 (``random()`` only, whose sequence is stable across Python versions), so
@@ -11,6 +11,7 @@ import hashlib
 import logging
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +24,8 @@ from pubtfp.accounting import (
     write_indices,
     write_panel,
 )
-from pubtfp.cli import main
+from pubtfp.cli import _write_report, main
+from pubtfp.paradoxes import run_all
 from pubtfp.technology import Ces, CobbDouglas, HomotheticTranslog
 
 YEARS = 2_000
@@ -155,3 +157,208 @@ def test_random_panel_through_the_accounting_command(tmp_path, caplog, capsys):
         "indices.csv": "6e1374c3d9e8a066bbfd453cfb4ccd7f3768e8d7bdbac7b526b0f0fe9a6e3df4",
         "indices_plot.csv": "99e72c99c17672316795f27ae911e1cb44b810cc5ca0ff7bc5bd16c0f6ca372f",
     }
+
+
+# --------------------------------------------------------------- paradox path
+#
+# A 2,500-scenario batch through the ``paradox`` command: all five paradoxes
+# on every value-added family, plus entries that trip each guard. The file is
+# read by relative path from its own directory, so no absolute path enters
+# the report or the summary line.
+
+VALUE_ADDED_FAMILIES = ("cobb-douglas", "ces", "homothetic-translog")
+PARADOX_BLOCKS = 100
+
+
+def draw(rng, low, high):
+    return low + (high - low) * rng.random()
+
+
+def technology_entry(rng, family):
+    level = math.exp(draw(rng, -1.0, 1.0))
+    if family == "cobb-douglas":
+        return {
+            "family": family,
+            "alpha_capital": draw(rng, 0.2, 0.5),
+            "alpha_labor": draw(rng, 0.4, 0.7),
+            "level": level,
+        }
+    if family == "ces":
+        substitution = draw(rng, -2.0, -0.1) if rng.random() < 0.6 else draw(rng, 0.1, 0.8)
+        return {
+            "family": family,
+            "capital_weight": draw(rng, 0.2, 0.8),
+            "substitution": substitution,
+            "returns_to_scale": draw(rng, 0.7, 1.2),
+            "level": level,
+        }
+    return {
+        "family": family,
+        "inner_alpha_capital": draw(rng, 0.2, 0.8),
+        "slope": draw(rng, 0.9, 1.5),
+        "curvature": draw(rng, -0.3, -0.02),
+        "level": level,
+    }
+
+
+def prices_entry(rng):
+    return {"capital_price": math.exp(draw(rng, -1.0, 1.0)), "wage": math.exp(draw(rng, -1.0, 1.0))}
+
+
+def bundle_entry(rng):
+    return {"capital": math.exp(draw(rng, -2.0, 2.0)), "labor": math.exp(draw(rng, -2.0, 2.0))}
+
+
+def outputs_entry(rng, count):
+    return [
+        {
+            "quantity": math.exp(draw(rng, -1.0, 2.0)),
+            "marginal_cost": math.exp(draw(rng, -1.0, 1.0)),
+            "markup": draw(rng, 0.0, 0.5),
+        }
+        for _ in range(count)
+    ]
+
+
+def paradox_block(rng):
+    """One block: every paradox on every value-added family, then one entry per guard."""
+    entries = []
+    for family in VALUE_ADDED_FAMILIES:
+        tech, prices = technology_entry(rng, family), prices_entry(rng)
+        entries.append(
+            {"paradox": 1, "technology": tech, "bundle": bundle_entry(rng), "prices": prices,
+             "shift_factor": draw(rng, 1.01, 1.5)}
+        )
+        entries.append(
+            {"paradox": 2, "technology": technology_entry(rng, family),
+             "bundle": bundle_entry(rng), "prices": prices_entry(rng)}
+        )
+        entries.append(
+            {"paradox": 3, "technology": technology_entry(rng, family),
+             "bundle": bundle_entry(rng), "prices": prices_entry(rng)}
+        )
+        entries.append(
+            {"paradox": 4, "technology": technology_entry(rng, family), "bundle": bundle_entry(rng),
+             "prices": prices, "prices_after": {key: value * draw(rng, 0.5, 0.99)
+                                                for key, value in prices.items()}}
+        )
+        outputs = outputs_entry(rng, 1 + int(3 * rng.random()))
+        entries.append(
+            {"paradox": 5, "technology": technology_entry(rng, family),
+             "bundle": bundle_entry(rng), "outputs": outputs,
+             "markups_after": [o["markup"] - draw(rng, 0.01, 1.0) for o in outputs]}
+        )
+    # already efficient: a Cobb-Douglas bundle on its cost-minimizing ray, x_i = t * alpha_i / p_i
+    tech, prices, t = technology_entry(rng, "cobb-douglas"), prices_entry(rng), draw(rng, 0.5, 2.0)
+    entries.append(
+        {"paradox": 2, "technology": tech, "prices": prices,
+         "bundle": {"capital": t * tech["alpha_capital"] / prices["capital_price"],
+                    "labor": t * tech["alpha_labor"] / prices["wage"]}}
+    )
+    # no interior most-productive scale: a constant-elasticity family
+    constant = ("cobb-douglas", "ces")[int(2 * rng.random())]
+    entries.append(
+        {"paradox": 3, "technology": technology_entry(rng, constant),
+         "bundle": bundle_entry(rng), "prices": prices_entry(rng)}
+    )
+    # already at the most productive scale: K = L = exp((1 - slope) / (2 * curvature))
+    tech = technology_entry(rng, "homothetic-translog")
+    at_peak = math.exp((1.0 - tech["slope"]) / (2.0 * tech["curvature"]))
+    entries.append(
+        {"paradox": 3, "technology": tech, "bundle": {"capital": at_peak, "labor": at_peak},
+         "prices": prices_entry(rng)}
+    )
+    # prices not dominated: the wage rises
+    prices = prices_entry(rng)
+    entries.append(
+        {"paradox": 4, "technology": technology_entry(rng, "ces"), "bundle": bundle_entry(rng),
+         "prices": prices, "prices_after": {"capital_price": prices["capital_price"] * 0.9,
+                                            "wage": prices["wage"] * draw(rng, 1.0, 1.5)}}
+    )
+    # markup not cut: the last markup holds
+    outputs = outputs_entry(rng, 2)
+    entries.append(
+        {"paradox": 5, "technology": technology_entry(rng, "homothetic-translog"),
+         "bundle": bundle_entry(rng), "outputs": outputs,
+         "markups_after": [outputs[0]["markup"] - 0.01, outputs[1]["markup"]]}
+    )
+    # zero output: no labor under Cobb-Douglas
+    entries.append(
+        {"paradox": 1, "technology": technology_entry(rng, "cobb-douglas"),
+         "bundle": {"capital": 1.0, "labor": 0.0}, "prices": prices_entry(rng),
+         "shift_factor": 1.1}
+    )
+    # out of the float range: CES output at capital 1e-200 with substitution -2
+    entries.append(
+        {"paradox": 1, "technology": technology_entry(rng, "ces") | {"substitution": -2.0},
+         "bundle": {"capital": 1e-200, "labor": 1.0}, "prices": prices_entry(rng),
+         "shift_factor": 1.2}
+    )
+    # rejected while parsing: a negative, a non-finite and a non-numeric input
+    entries.append(
+        {"paradox": 1, "technology": technology_entry(rng, "cobb-douglas"),
+         "bundle": {"capital": -draw(rng, 0.1, 2.0), "labor": 1.0}, "prices": prices_entry(rng),
+         "shift_factor": 1.1}
+    )
+    entries.append(
+        {"paradox": 4, "technology": technology_entry(rng, "ces"), "bundle": bundle_entry(rng),
+         "prices": {"capital_price": math.inf, "wage": 1.0},
+         "prices_after": {"capital_price": 0.5, "wage": 0.5}}
+    )
+    entries.append(
+        {"paradox": 2, "technology": technology_entry(rng, "cobb-douglas"),
+         "bundle": {"capital": "much", "labor": 1.0}, "prices": prices_entry(rng)}
+    )
+    return entries
+
+
+def paradox_batch(seed=16):
+    rng = random.Random(seed)
+    entries = [entry for _ in range(PARADOX_BLOCKS) for entry in paradox_block(rng)]
+    for position, entry in enumerate(entries):
+        entry["name"] = f"case-{position + 1:05d}-p{entry['paradox']}"
+    return entries
+
+
+@pytest.fixture
+def paradox_batch_file(tmp_path, monkeypatch):
+    import yaml  # here, so the accounting pins above also run where PyYAML is missing
+
+    entries = paradox_batch()
+    assert len(entries) >= 2_000
+    (tmp_path / "batch.yaml").write_text(
+        yaml.dump(
+            {"scenarios": entries},
+            Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper),
+            sort_keys=False,
+        ),
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(tmp_path)
+    return len(entries)
+
+
+def test_paradox_batch_through_the_paradox_command(paradox_batch_file, capsys):
+    assert main(["paradox", "--input", "batch.yaml", "--output", "report.csv"]) == 2
+    stdout = capsys.readouterr().out
+    assert stdout.splitlines()[-1] == (
+        "2500 scenario(s): 1300 confirmed, 100 not confirmed, 1100 failed; "
+        "report written to report.csv"
+    )
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == (
+        "0e758626cc44dd151ed64196ae618fe974f9ff3ce2ef30a71d50890fd0fe1dc3"
+    )
+    assert sha256(Path("report.csv")) == (
+        "2e4320aba5289f9d0702a80891977fcabf931c5594381f247470864124b12d1c"
+    )
+
+    outcomes = run_all("batch.yaml")
+    kinds = [outcome.error_kind or "" for outcome in outcomes]
+    assert {kind: kinds.count(kind) for kind in set(kinds)} == {
+        "": 1400, "input": 1000, "internal": 100
+    }
+    assert hashlib.sha256("\n".join(kinds).encode("utf-8")).hexdigest() == (
+        "e86964a47dd16bf4a74584b3d474ec38be2fc037dbb4afc2eb0880f2e434ef93"
+    )
+    _write_report(outcomes, Path("again.csv"))
+    assert sha256(Path("again.csv")) == sha256(Path("report.csv"))
