@@ -26,6 +26,7 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -34,6 +35,7 @@ from .errors import (
     MissingBaseYearError,
     PanelSchemaError,
     SeriesError,
+    _csv_cells,
     _not_utf8,
 )
 
@@ -101,25 +103,38 @@ class PanelObservation:
             raise InvalidParameterError(f"year must be an integer, got {self.year!r}")
         if not self.country or not self.industry:
             raise InvalidParameterError("country and industry must be nonempty strings")
-        for name in ("va_nominal", "va_deflator", "capital_services", "labor_input"):
-            value = getattr(self, name)
-            if type(value) is not float:
-                value = float(value)
-                object.__setattr__(self, name, value)
-            if not 0.0 < value < math.inf:
-                raise InvalidParameterError(f"{name} must be strictly positive, got {value!r}")
+        # floats already in range pass in one test; anything else is converted and checked by name
+        va, deflator = self.va_nominal, self.va_deflator
+        capital, labor = self.capital_services, self.labor_input
+        if not (
+            type(va) is type(deflator) is type(capital) is type(labor) is float
+            and 0.0 < va < math.inf and 0.0 < deflator < math.inf
+            and 0.0 < capital < math.inf and 0.0 < labor < math.inf
+        ):
+            for name in ("va_nominal", "va_deflator", "capital_services", "labor_input"):
+                value = getattr(self, name)
+                if type(value) is not float:
+                    value = float(value)
+                    object.__setattr__(self, name, value)
+                if not 0.0 < value < math.inf:
+                    raise InvalidParameterError(f"{name} must be strictly positive, got {value!r}")
         if not 0.0 < self.va_nominal / self.va_deflator < math.inf:
             raise InvalidParameterError(
                 f"real value added va_nominal / va_deflator must be finite and positive, "
                 f"got {self.va_nominal!r} / {self.va_deflator!r}"
             )
-        for name in ("labor_share", "capital_share"):
-            value = getattr(self, name)
-            if type(value) is not float:
-                value = float(value)
-                object.__setattr__(self, name, value)
-            if not 0.0 <= value <= 1.0:
-                raise InvalidParameterError(f"{name} must lie in [0, 1], got {value!r}")
+        labor_share, capital_share = self.labor_share, self.capital_share
+        if not (
+            type(labor_share) is type(capital_share) is float
+            and 0.0 <= labor_share <= 1.0 and 0.0 <= capital_share <= 1.0
+        ):
+            for name in ("labor_share", "capital_share"):
+                value = getattr(self, name)
+                if type(value) is not float:
+                    value = float(value)
+                    object.__setattr__(self, name, value)
+                if not 0.0 <= value <= 1.0:
+                    raise InvalidParameterError(f"{name} must lie in [0, 1], got {value!r}")
         total = self.labor_share + self.capital_share
         if total <= 0.0:
             raise InvalidParameterError("factor shares cannot both be zero")
@@ -400,22 +415,15 @@ def write_panel(observations: Iterable[PanelObservation], path: str | Path) -> N
     path = Path(path)
     rows = sorted(observations, key=lambda o: (o.country, o.industry, o.year))
     with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(PANEL_COLUMNS)
-        for o in rows:
-            writer.writerow(
-                [
-                    o.year,
-                    o.country,
-                    o.industry,
-                    repr(o.va_nominal),
-                    repr(o.va_deflator),
-                    repr(o.capital_services),
-                    repr(o.labor_input),
-                    repr(o.labor_share),
-                    repr(o.capital_share),
-                ]
-            )
+        handle.write(_csv_cells(*PANEL_COLUMNS) + "\n")
+        # one write per series, names quoted once; str() for years, repr() for numbers, as csv does
+        for key, series in groupby(rows, key=operator.attrgetter("country", "industry")):
+            names = _csv_cells(*key)
+            handle.write("".join([
+                f"{o.year!s},{names},{o.va_nominal!r},{o.va_deflator!r},{o.capital_services!r},"
+                f"{o.labor_input!r},{o.labor_share!r},{o.capital_share!r}\n"
+                for o in series
+            ]))
 
 
 def write_indices(series: Iterable[TfpIndexSeries], path: str | Path) -> None:
@@ -423,11 +431,12 @@ def write_indices(series: Iterable[TfpIndexSeries], path: str | Path) -> None:
     path = Path(path)
     ordered = sorted(series, key=lambda s: (s.country, s.industry))
     with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(INDEX_COLUMNS)
+        handle.write(_csv_cells(*INDEX_COLUMNS) + "\n")
         for one in ordered:
-            for year, value in one.points:
-                writer.writerow([year, one.country, one.industry, repr(value)])
+            names = _csv_cells(one.country, one.industry)
+            handle.write("".join([
+                f"{year!s},{names},{value!r}\n" for year, value in zip(one.years, one.values)
+            ]))
 
 
 @dataclass(frozen=True)
@@ -491,44 +500,33 @@ def simulate_sna_panel(spec: SimulationSpec) -> list[PanelObservation]:
     frontier output; the pipeline then mirrors frontier growth, falling
     at the rate of technical progress when spending is flat.
     """
-    from .measurement import cost_based_value_added
     from .technology import FactorPrices, InputBundle
+    technology, country, industry = spec.technology, spec.country, spec.industry
+    market = spec.convention == "market"
+    if not market:  # sna-cost
+        from .measurement import cost_based_value_added
+        base_level = spec.levels[0]
     observations: list[PanelObservation] = []
-    for step in range(spec.years):
-        bundle = InputBundle(capital=spec.capital[step], labor=spec.labor[step])
-        if spec.convention == "market":
-            current = spec.technology.with_level(spec.levels[step])
-            output = current.output(bundle)
+    paths = zip(spec.levels, spec.capital, spec.labor, spec.capital_price, spec.wage)
+    for year, (level, capital, labor, capital_price, wage) in enumerate(paths, spec.start_year):
+        bundle = InputBundle(capital, labor)
+        if market:
+            current = technology.with_level(level)
+            va_nominal, va_deflator = current.output(bundle), 1.0
             mp_capital, mp_labor = current.marginal_products(bundle)
-            va_nominal = output
-            va_deflator = 1.0
-            capital_share = mp_capital * bundle.capital / output
-            labor_share = mp_labor * bundle.labor / output
-        else:  # sna-cost
-            factor_bill = cost_based_value_added(
-                FactorPrices(spec.capital_price[step], spec.wage[step]), bundle
-            )
-            va_nominal = factor_bill
-            va_deflator = spec.levels[step] / spec.levels[0]
-            capital_share = spec.capital_price[step] * bundle.capital / factor_bill
-            labor_share = spec.wage[step] * bundle.labor / factor_bill
-        year = spec.start_year + step
+            capital_share = mp_capital * capital / va_nominal
+            labor_share = mp_labor * labor / va_nominal
+        else:  # nominal value added is the factor bill
+            va_nominal = cost_based_value_added(FactorPrices(capital_price, wage), bundle)
+            va_deflator = level / base_level
+            capital_share = capital_price * capital / va_nominal
+            labor_share = wage * labor / va_nominal
         try:
-            observations.append(
-                PanelObservation(
-                    year=year,
-                    country=spec.country,
-                    industry=spec.industry,
-                    va_nominal=va_nominal,
-                    va_deflator=va_deflator,
-                    capital_services=bundle.capital,
-                    labor_input=bundle.labor,
-                    labor_share=labor_share,
-                    capital_share=capital_share,
-                )
-            )
+            observations.append(PanelObservation(
+                year, country, industry, va_nominal, va_deflator, capital, labor, labor_share,
+                capital_share,
+            ))
         except InvalidParameterError as exc:
-            raise InvalidParameterError(
-                f"simulated row {spec.country}/{spec.industry} {year}: {exc}"
-            ) from None
+            message = f"simulated row {country}/{industry} {year}: {exc}"
+            raise InvalidParameterError(message) from None
     return observations

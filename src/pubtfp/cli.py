@@ -26,7 +26,7 @@ from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import InvalidParameterError, NoConvergenceError, PubTfpError, _not_utf8
+from .errors import InvalidParameterError, NoConvergenceError, PubTfpError, _csv_cells, _not_utf8
 
 if TYPE_CHECKING:
     from .accounting import TfpIndexSeries
@@ -253,12 +253,12 @@ def _plot_series_name(series: TfpIndexSeries) -> str:
 def _write_plot(series: Iterable[TfpIndexSeries], path: Path) -> None:
     ordered = sorted(series, key=_plot_series_name)
     with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(PLOT_COLUMNS)
+        handle.write(_csv_cells(*PLOT_COLUMNS) + "\n")
         for one in ordered:
-            name = _plot_series_name(one)
-            for year, value in one.points:
-                writer.writerow([year, name, _format_number(value)])
+            name = _csv_cells(_plot_series_name(one))
+            handle.write("".join([
+                f"{year!s},{name},{float(value)!r}\n" for year, value in zip(one.years, one.values)
+            ]))
 
 
 def _default_plot_path(output_path: Path) -> Path:

@@ -1,10 +1,12 @@
-"""Exception types shared across the toolkit.
+"""Exception types and file-text helpers shared across the toolkit.
 
 Validation and domain problems subclass ValueError so plain try/except
 ValueError keeps working; solver failures subclass RuntimeError. The CLI
 maps everything except solver/internal failures to exit code 1.
 """
 
+import csv
+import io
 from pathlib import Path
 
 
@@ -71,3 +73,10 @@ def _not_utf8(path: Path) -> str:
             f"{exc.start} ({exc.reason})"
         )
     return f"{path} is not valid UTF-8"
+
+
+def _csv_cells(*cells: str) -> str:
+    """Text cells as one CSV line without its end, quoted as the toolkit's writers quote them."""
+    buffer = io.StringIO()  # the line end is cut, not left out: with "" csv would not quote "\n"
+    csv.writer(buffer, lineterminator="\n").writerow(cells)
+    return buffer.getvalue()[:-1]

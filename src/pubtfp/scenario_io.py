@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 import yaml
 
 from .errors import PubTfpError, ScenarioError, _not_utf8
-from .measurement import PricedOutput, PricingScheme
 from .technology import (
     Ces,
     CobbDouglas,
@@ -33,6 +32,7 @@ from .technology import (
 
 if TYPE_CHECKING:
     from .accounting import SimulationSpec
+    from .measurement import PricingScheme
     from .paradoxes import FailedScenario, Scenario
 
 __all__ = ["load_scenarios", "load_simulation"]
@@ -141,6 +141,7 @@ def _prices(value: Any, where: str) -> FactorPrices:
 
 
 def _pricing(value: Any, where: str) -> PricingScheme:
+    from .measurement import PricedOutput, PricingScheme  # simulation configs need neither
     if not isinstance(value, list) or not value:
         raise ScenarioError(f"{where} must be a nonempty list of outputs")
     outputs = []

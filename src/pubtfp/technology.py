@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DomainError, InvalidParameterError
 
@@ -68,6 +69,13 @@ def _require_nonnegative(name: str, value: float) -> float:
     value = _require_finite(name, value)
     if value < 0.0:
         raise InvalidParameterError(f"{name} must be nonnegative, got {value!r}")
+    return value
+
+
+def _keep(tech: Technology, name: str, check: Callable[[str, float], float]) -> float:
+    """Validate a technology's field with ``check`` and store the float it returns."""
+    value = check(name, getattr(tech, name))
+    object.__setattr__(tech, name, value)
     return value
 
 
@@ -199,11 +207,10 @@ class CobbDouglas(Technology):
     family = "cobb-douglas"
 
     def __post_init__(self) -> None:
-        _require_positive("alpha_capital", self.alpha_capital)
-        _require_positive("alpha_labor", self.alpha_labor)
-        _require_positive("level", self.level)
+        for name in ("alpha_capital", "alpha_labor", "level"):
+            _keep(self, name, _require_positive)
         if self.alpha_intermediates is not None:
-            _require_positive("alpha_intermediates", self.alpha_intermediates)
+            _keep(self, "alpha_intermediates", _require_positive)
 
     @property
     def uses_intermediates(self) -> bool:
@@ -252,16 +259,16 @@ class Ces(Technology):
     family = "ces"
 
     def __post_init__(self) -> None:
-        w = _require_finite("capital_weight", self.capital_weight)
+        w = _keep(self, "capital_weight", _require_finite)
         if not 0.0 < w < 1.0:
             raise InvalidParameterError(f"capital_weight must lie in (0, 1), got {w!r}")
-        rho = _require_finite("substitution", self.substitution)
+        rho = _keep(self, "substitution", _require_finite)
         if rho == 0.0 or rho >= 1.0:
             raise InvalidParameterError(
                 f"substitution must lie in (-inf, 1) and differ from 0, got {rho!r}"
             )
-        _require_positive("returns_to_scale", self.returns_to_scale)
-        _require_positive("level", self.level)
+        _keep(self, "returns_to_scale", _require_positive)
+        _keep(self, "level", _require_positive)
 
     def core_output(self, bundle: InputBundle) -> float:
         self._check_bundle(bundle)
@@ -304,16 +311,16 @@ class HomotheticTranslog(Technology):
     family = "homothetic-translog"
 
     def __post_init__(self) -> None:
-        a = _require_finite("inner_alpha_capital", self.inner_alpha_capital)
+        a = _keep(self, "inner_alpha_capital", _require_finite)
         if not 0.0 < a < 1.0:
             raise InvalidParameterError(f"inner_alpha_capital must lie in (0, 1), got {a!r}")
-        _require_positive("slope", self.slope)
-        c = _require_finite("curvature", self.curvature)
+        _keep(self, "slope", _require_positive)
+        c = _keep(self, "curvature", _require_finite)
         if c > 0.0:
             raise InvalidParameterError(
                 f"curvature must be <= 0 (scale elasticity nonincreasing in scale), got {c!r}"
             )
-        _require_positive("level", self.level)
+        _keep(self, "level", _require_positive)
 
     def _log_core_index(self, bundle: InputBundle) -> float:
         a = self.inner_alpha_capital
@@ -363,17 +370,17 @@ class TwoLevelCes(Technology):
 
     def __post_init__(self) -> None:
         for name in ("capital_weight", "value_added_weight"):
-            w = _require_finite(name, getattr(self, name))
+            w = _keep(self, name, _require_finite)
             if not 0.0 < w < 1.0:
                 raise InvalidParameterError(f"{name} must lie in (0, 1), got {w!r}")
         for name in ("inner_substitution", "outer_substitution"):
-            rho = _require_finite(name, getattr(self, name))
+            rho = _keep(self, name, _require_finite)
             if rho == 0.0 or rho >= 1.0:
                 raise InvalidParameterError(
                     f"{name} must lie in (-inf, 1) and differ from 0, got {rho!r}"
                 )
-        _require_positive("returns_to_scale", self.returns_to_scale)
-        _require_positive("level", self.level)
+        _keep(self, "returns_to_scale", _require_positive)
+        _keep(self, "level", _require_positive)
 
     @property
     def uses_intermediates(self) -> bool:

@@ -142,6 +142,7 @@ IMPORT_GRAPH = {
         False,
     ),
     "simulate": ({"errors", "scenario_io", "accounting", "measurement", "technology"}, True, True),
+    "simulate-market": ({"errors", "scenario_io", "accounting", "technology"}, True, True),
     "accounting": ({"errors", "accounting"}, False, True),
     "report": ({"errors"}, False, False),
 }
@@ -154,9 +155,13 @@ class TestImportGraph:
         assert main(["paradox", "--input", str(PARADOX_FILE), "--output", str(report)]) == 0
         assert main(["simulate", "--input", str(SIMULATION_FILE), "--output", str(panel)]) == 0
         capsys.readouterr()
+        # the shipped config measures under sna-cost; only that convention needs measurement
+        market = tmp_path / "market.yaml"
+        market.write_text(SIMULATION_FILE.read_text().replace("sna-cost", "market"))
         return {
             "paradox": ["paradox", "--input", str(PARADOX_FILE), "--output", str(tmp_path / "r.csv")],
             "simulate": ["simulate", "--input", str(SIMULATION_FILE), "--output", str(tmp_path / "p.csv")],
+            "simulate-market": ["simulate", "--input", str(market), "--output", str(tmp_path / "m.csv")],
             "accounting": ["accounting", "--input", str(panel), "--output", str(tmp_path / "i.csv")],
             "report": ["report", "--input", str(report)],
         }

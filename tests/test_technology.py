@@ -339,3 +339,102 @@ class TestWithLevel:
         with pytest.raises(InvalidParameterError) as leveled:
             tech.with_level(level)
         assert str(leveled.value) == str(replaced.value)
+
+
+# each family built from the numeric strings, bools and ints its validators accept
+LOOSE_PARAMETERS = (
+    (CobbDouglas, dict(alpha_capital="0.3", alpha_labor=True, level=2, alpha_intermediates="0.2")),
+    (Ces, dict(capital_weight="0.4", substitution="-0.5", returns_to_scale=1, level="2")),
+    (HomotheticTranslog, dict(inner_alpha_capital="0.3", slope=1, curvature="-0.02", level=True)),
+    (
+        TwoLevelCes,
+        dict(
+            capital_weight="0.4",
+            inner_substitution="-0.5",
+            value_added_weight="0.6",
+            outer_substitution="0.3",
+            returns_to_scale=1,
+            level="1.5",
+        ),
+    ),
+)
+LOOSE_IDS = [cls.family for cls, _ in LOOSE_PARAMETERS]
+
+# the first bad field, in each family's check order, names the error
+FIRST_BAD_FIELD = [
+    (
+        CobbDouglas,
+        dict(alpha_capital="-1", alpha_labor=math.nan),
+        "alpha_capital must be strictly positive, got -1.0",
+    ),
+    (CobbDouglas, dict(alpha_capital=1, alpha_labor="nan"), "alpha_labor must be finite, got nan"),
+    (
+        CobbDouglas,
+        dict(alpha_capital=1, alpha_labor=1, level=0, alpha_intermediates=-1),
+        "level must be strictly positive, got 0.0",
+    ),
+    (Ces, dict(capital_weight="1", substitution=2), "capital_weight must lie in (0, 1), got 1.0"),
+    (
+        Ces,
+        dict(capital_weight=0.5, substitution=False),
+        "substitution must lie in (-inf, 1) and differ from 0, got 0.0",
+    ),
+    (
+        Ces,
+        dict(capital_weight=0.5, substitution=0.5, returns_to_scale="inf"),
+        "returns_to_scale must be finite, got inf",
+    ),
+    (
+        HomotheticTranslog,
+        dict(inner_alpha_capital=0.3, slope="0", curvature=1),
+        "slope must be strictly positive, got 0.0",
+    ),
+    (
+        HomotheticTranslog,
+        dict(inner_alpha_capital=0.3, slope=1, curvature="0.1"),
+        "curvature must be <= 0 (scale elasticity nonincreasing in scale), got 0.1",
+    ),
+    (
+        TwoLevelCes,
+        dict(capital_weight=0.4, inner_substitution=1, value_added_weight=2, outer_substitution=0),
+        "value_added_weight must lie in (0, 1), got 2.0",
+    ),
+    (
+        TwoLevelCes,
+        dict(
+            capital_weight=0.4,
+            inner_substitution="0.5",
+            value_added_weight=0.5,
+            outer_substitution=True,
+        ),
+        "outer_substitution must lie in (-inf, 1) and differ from 0, got 1.0",
+    ),
+]
+
+
+class TestFamiliesStoreValidatedFloats:
+    """A family keeps the float its validator returns, as InputBundle and FactorPrices do."""
+
+    @pytest.mark.parametrize("cls, params", LOOSE_PARAMETERS, ids=LOOSE_IDS)
+    def test_fields_hold_plain_floats(self, cls, params):
+        tech = cls(**params)
+        exact = cls(**{name: float(value) for name, value in params.items()})
+        for name, value in params.items():
+            stored = getattr(tech, name)
+            assert type(stored) is float and stored == float(value), name
+        assert tech == exact and hash(tech) == hash(exact) and repr(tech) == repr(exact)
+
+    @pytest.mark.parametrize("cls, params", LOOSE_PARAMETERS, ids=LOOSE_IDS)
+    def test_output_and_marginal_products_work(self, cls, params):
+        tech = cls(**params)
+        exact = cls(**{name: float(value) for name, value in params.items()})
+        bundle = InputBundle(2.0, 3.0, 1.5)
+        assert tech.output(bundle) == exact.output(bundle)
+        assert tech.marginal_products(bundle) == exact.marginal_products(bundle)
+        assert tech.scale_elasticity(bundle) == exact.scale_elasticity(bundle)
+
+    @pytest.mark.parametrize("cls, params, message", FIRST_BAD_FIELD)
+    def test_the_first_bad_field_names_the_error(self, cls, params, message):
+        with pytest.raises(InvalidParameterError) as error:
+            cls(**params)
+        assert str(error.value) == message
