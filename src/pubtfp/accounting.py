@@ -26,7 +26,7 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, starmap
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -37,6 +37,7 @@ from .errors import (
     SeriesError,
     _csv_cells,
     _not_utf8,
+    _write_csv,
 )
 
 if TYPE_CHECKING:
@@ -224,6 +225,9 @@ class TfpIndexSeries:
                 f"series needs matching years and values, got {len(self.years)} "
                 f"and {len(self.values)}"
             )
+        for value in self.values:  # the index writers print each value with repr()
+            if not isinstance(value, (int, float)):
+                raise SeriesError(f"index values must be int or float, got {value!r}")
         if any(not math.isfinite(v) or v <= 0.0 for v in self.values):
             raise SeriesError("index values must all be positive")
         if self.base_year not in self.years:
@@ -412,31 +416,30 @@ def ingest_panel(path: str | Path) -> list[PanelObservation]:
 
 def write_panel(observations: Iterable[PanelObservation], path: str | Path) -> None:
     """Write observations as a panel CSV with the canonical column order."""
-    path = Path(path)
+    def lines(key: tuple[str, str], series: Iterable[PanelObservation]) -> str:
+        # one chunk per series, names quoted once; str() for years, repr() for numbers, as csv does
+        names = _csv_cells(*key)
+        return "".join([
+            f"{o.year!s},{names},{o.va_nominal!r},{o.va_deflator!r},{o.capital_services!r},"
+            f"{o.labor_input!r},{o.labor_share!r},{o.capital_share!r}\n"
+            for o in series
+        ])
+
     rows = sorted(observations, key=lambda o: (o.country, o.industry, o.year))
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        handle.write(_csv_cells(*PANEL_COLUMNS) + "\n")
-        # one write per series, names quoted once; str() for years, repr() for numbers, as csv does
-        for key, series in groupby(rows, key=operator.attrgetter("country", "industry")):
-            names = _csv_cells(*key)
-            handle.write("".join([
-                f"{o.year!s},{names},{o.va_nominal!r},{o.va_deflator!r},{o.capital_services!r},"
-                f"{o.labor_input!r},{o.labor_share!r},{o.capital_share!r}\n"
-                for o in series
-            ]))
+    by_series = groupby(rows, key=operator.attrgetter("country", "industry"))
+    _write_csv(path, PANEL_COLUMNS, starmap(lines, by_series))
 
 
 def write_indices(series: Iterable[TfpIndexSeries], path: str | Path) -> None:
     """Write index series as CSV rows (year, country, industry, tfp_index)."""
-    path = Path(path)
+    def lines(one: TfpIndexSeries) -> str:
+        names = _csv_cells(one.country, one.industry)
+        return "".join([
+            f"{year!s},{names},{value!r}\n" for year, value in zip(one.years, one.values)
+        ])
+
     ordered = sorted(series, key=lambda s: (s.country, s.industry))
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        handle.write(_csv_cells(*INDEX_COLUMNS) + "\n")
-        for one in ordered:
-            names = _csv_cells(one.country, one.industry)
-            handle.write("".join([
-                f"{year!s},{names},{value!r}\n" for year, value in zip(one.years, one.values)
-            ]))
+    _write_csv(path, INDEX_COLUMNS, map(lines, ordered))
 
 
 @dataclass(frozen=True)

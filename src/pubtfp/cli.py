@@ -21,18 +21,19 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass, field
 from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import InvalidParameterError, NoConvergenceError, PubTfpError, _csv_cells, _not_utf8
+from .errors import (
+    InvalidParameterError, NoConvergenceError, PubTfpError, _csv_cells, _not_utf8, _write_csv,
+)
 
 if TYPE_CHECKING:
     from .accounting import TfpIndexSeries
     from .paradoxes import ScenarioOutcome
 
-__all__ = ["RunConfig", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 # The names the handlers call, by home module. A subcommand imports only its
 # own modules, so ``report`` loads neither PyYAML nor the solvers. Each
@@ -63,7 +64,6 @@ def __getattr__(name: str):
     _bind(module)
     return globals()[name]
 
-COMMANDS = ("paradox", "accounting", "simulate", "report")
 
 REPORT_COLUMNS = (
     "scenario",
@@ -82,18 +82,6 @@ PLOT_COLUMNS = ("year", "series", "value")
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INTERNAL_ERROR = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, resolved from the parsed arguments."""
-
-    command: str
-    input_path: Path
-    output_path: Path | None = None
-    base_year: int | None = None
-    tolerance_overrides: dict[str, float] = field(default_factory=dict)
-    plot_output: Path | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,85 +153,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input_path=args.input,
-        output_path=getattr(args, "output", None),
-        base_year=getattr(args, "base_year", None),
-        tolerance_overrides=dict(getattr(args, "tolerance", []) or []),
-        plot_output=getattr(args, "plot_output", None),
-    )
-
-
-def _format_number(value: float) -> str:
-    return repr(float(value))
+def _report_line(outcome: ScenarioOutcome) -> str:
+    r = outcome.report
+    if r is None:
+        error = (outcome.error or "").replace("\n", "; ")
+        cells = (outcome.name, outcome.paradox_id, "", "", "", "", "", "", "", error)
+        return _csv_cells(*cells) + "\n"
+    numbers = (r.measured_before, r.measured_after, r.true_tfp_before, r.true_tfp_after)
+    return _csv_cells(
+        outcome.name, outcome.paradox_id, r.convention, *(repr(float(v)) for v in numbers),
+        "true" if r.paradox_confirmed else "false", r.welfare_direction, "",
+    ) + "\n"
 
 
 def _write_report(outcomes: Iterable[ScenarioOutcome], path: Path) -> None:
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for outcome in outcomes:
-            if outcome.report is None:
-                message = (outcome.error or "").replace("\n", "; ")
-                writer.writerow(
-                    [outcome.name, outcome.paradox_id, "", "", "", "", "", "", "", message]
-                )
-            else:
-                r = outcome.report
-                writer.writerow(
-                    [
-                        outcome.name,
-                        outcome.paradox_id,
-                        r.convention,
-                        _format_number(r.measured_before),
-                        _format_number(r.measured_after),
-                        _format_number(r.true_tfp_before),
-                        _format_number(r.true_tfp_after),
-                        "true" if r.paradox_confirmed else "false",
-                        r.welfare_direction,
-                        "",
-                    ]
-                )
+    _write_csv(path, REPORT_COLUMNS, map(_report_line, outcomes))
 
 
-def _run_paradox(config: RunConfig) -> int:
+def _tally(verdicts: list[str]) -> str:
+    return (
+        f"{len(verdicts)} scenario(s): {verdicts.count('confirmed')} confirmed, "
+        f"{verdicts.count('not confirmed')} not confirmed, {verdicts.count('failed')} failed"
+    )
+
+
+def _run_paradox(args: argparse.Namespace) -> int:
     _bind("scenario_io", "paradoxes")
-    scenarios = load_scenarios(config.input_path)
-    tolerances = Tolerances().replaced(config.tolerance_overrides)
-    outcomes = run_all(scenarios, tolerances)
-    _write_report(outcomes, config.output_path)
+    scenarios = load_scenarios(args.input)
+    outcomes = run_all(scenarios, Tolerances().replaced(dict(args.tolerance)))
+    _write_report(outcomes, args.output)
 
-    confirmed = disproved = failed = 0
-    saw_internal = saw_input = False
+    verdicts = []
     for outcome in outcomes:
-        if outcome.report is None:
-            failed += 1
-            saw_internal = saw_internal or outcome.error_kind == "internal"
-            saw_input = saw_input or outcome.error_kind == "input"
+        r = outcome.report
+        if r is None:
+            verdicts.append("failed")
             print(f"paradox {outcome.paradox_id} {outcome.name}: ERROR {outcome.error}")
             continue
-        r = outcome.report
         verdict = "confirmed" if r.paradox_confirmed else "not confirmed"
-        if r.paradox_confirmed:
-            confirmed += 1
-        else:
-            disproved += 1
+        verdicts.append(verdict)
         print(
             f"paradox {outcome.paradox_id} {outcome.name}: {verdict} "
             f"(measured {r.measured_before:.6g} -> {r.measured_after:.6g}, "
             f"true {r.true_tfp_before:.6g} -> {r.true_tfp_after:.6g})"
         )
-    print(
-        f"{len(outcomes)} scenario(s): {confirmed} confirmed, "
-        f"{disproved} not confirmed, {failed} failed; report written to {config.output_path}"
-    )
-    if saw_internal:
+    print(f"{_tally(verdicts)}; report written to {args.output}")
+    kinds = {outcome.error_kind for outcome in outcomes}
+    if "internal" in kinds:
         return EXIT_INTERNAL_ERROR
-    if saw_input:
-        return EXIT_INPUT_ERROR
-    return EXIT_OK
+    return EXIT_INPUT_ERROR if "input" in kinds else EXIT_OK
 
 
 def _plot_series_name(series: TfpIndexSeries) -> str:
@@ -251,101 +209,92 @@ def _plot_series_name(series: TfpIndexSeries) -> str:
 
 
 def _write_plot(series: Iterable[TfpIndexSeries], path: Path) -> None:
-    ordered = sorted(series, key=_plot_series_name)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        handle.write(_csv_cells(*PLOT_COLUMNS) + "\n")
-        for one in ordered:
-            name = _csv_cells(_plot_series_name(one))
-            handle.write("".join([
-                f"{year!s},{name},{float(value)!r}\n" for year, value in zip(one.years, one.values)
-            ]))
+    def lines(one: TfpIndexSeries) -> str:
+        name = _csv_cells(_plot_series_name(one))
+        return "".join([
+            f"{year!s},{name},{float(value)!r}\n" for year, value in zip(one.years, one.values)
+        ])
+
+    _write_csv(path, PLOT_COLUMNS, map(lines, sorted(series, key=_plot_series_name)))
 
 
 def _default_plot_path(output_path: Path) -> Path:
     return output_path.with_name(output_path.stem + "_plot" + (output_path.suffix or ".csv"))
 
 
-def _run_accounting(config: RunConfig) -> int:
+def _run_accounting(args: argparse.Namespace) -> int:
     _configure_logging()
     _bind("accounting")
-    observations = ingest_panel(config.input_path)
-    base_year = 1995 if config.base_year is None else config.base_year
-    indices = build_indices(observations, base_year)
-    write_indices(indices.values(), config.output_path)
-    plot_path = config.plot_output or _default_plot_path(config.output_path)
+    observations = ingest_panel(args.input)
+    indices = build_indices(observations, args.base_year)
+    write_indices(indices.values(), args.output)
+    plot_path = args.plot_output or _default_plot_path(args.output)
     _write_plot(indices.values(), plot_path)
     print(
-        f"wrote {len(indices)} TFP index series (base year {base_year}) to "
-        f"{config.output_path}; plot data in {plot_path}"
+        f"wrote {len(indices)} TFP index series (base year {args.base_year}) to "
+        f"{args.output}; plot data in {plot_path}"
     )
     return EXIT_OK
 
 
-def _run_simulate(config: RunConfig) -> int:
+def _run_simulate(args: argparse.Namespace) -> int:
     _configure_logging()
     _bind("scenario_io", "accounting")
-    spec = load_simulation(config.input_path)
+    spec = load_simulation(args.input)
     try:
         observations = simulate_sna_panel(spec)
     except InvalidParameterError as exc:
-        raise InvalidParameterError(f"{exc} (simulation config {config.input_path})") from None
-    write_panel(observations, config.output_path)
+        raise InvalidParameterError(f"{exc} (simulation config {args.input})") from None
+    write_panel(observations, args.output)
     print(
         f"wrote {len(observations)} panel rows ({spec.convention}, "
-        f"{spec.country}/{spec.industry}) to {config.output_path}"
+        f"{spec.country}/{spec.industry}) to {args.output}"
     )
     return EXIT_OK
 
 
-def _run_report(config: RunConfig) -> int:
+def _not_a_report(path: Path, problem: str) -> int:
+    print(f"{path} is not a paradox report: {problem}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
+
+
+def _run_report(args: argparse.Namespace) -> int:
     try:
         # utf-8-sig drops a byte-order mark, as the panel reader does
-        with config.input_path.open(newline="", encoding="utf-8-sig") as handle:
+        with args.input.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.DictReader(handle)
             header = reader.fieldnames or []
             missing = [name for name in REPORT_COLUMNS if name not in header]
             if missing:
-                print(
-                    f"{config.input_path} is not a paradox report: missing columns {missing!r}",
-                    file=sys.stderr,
-                )
-                return EXIT_INPUT_ERROR
+                return _not_a_report(args.input, f"missing columns {missing!r}")
             rows = list(reader)
     except UnicodeDecodeError:
-        print(_not_utf8(config.input_path), file=sys.stderr)
+        print(_not_utf8(args.input), file=sys.stderr)
         return EXIT_INPUT_ERROR
     except csv.Error as exc:
-        print(
-            # DictReader.line_num is set only after a row parses; its reader's is current
-            f"{config.input_path} is not a paradox report: line {reader.reader.line_num}: {exc}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT_ERROR
+        # DictReader.line_num is set only after a row parses; its reader's is current
+        return _not_a_report(args.input, f"line {reader.reader.line_num}: {exc}")
     # csv.DictReader fills the fields a short row lacks with None
     short = next((line for line, row in enumerate(rows, start=2) if None in row.values()), None)
     if short is not None:
-        print(
-            f"{config.input_path} is not a paradox report: row {short} is missing fields",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT_ERROR
-    confirmed = disproved = failed = 0
+        return _not_a_report(args.input, f"row {short} is missing fields")
+    verdicts = []
     for row in rows:
         name, paradox_id = row["scenario"], row["paradox_id"]
         if row["error"]:
-            failed += 1
+            verdicts.append("failed")
             print(f"paradox {paradox_id} {name}: ERROR {row['error']}")
         elif row["confirmed"] == "true":
-            confirmed += 1
+            verdicts.append("confirmed")
             print(
                 f"paradox {paradox_id} {name}: confirmed, measured TFP "
                 f"{row['measured_before']} -> {row['measured_after']} "
                 f"({row['welfare_direction']})"
             )
         else:
-            disproved += 1
+            verdicts.append("not confirmed")
             print(f"paradox {paradox_id} {name}: not confirmed")
-    print(f"{len(rows)} scenario(s): {confirmed} confirmed, {disproved} not confirmed, {failed} failed")
+    print(_tally(verdicts))
     return EXIT_OK
 
 
@@ -369,9 +318,8 @@ def _configure_logging() -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     try:
-        return _HANDLERS[config.command](config)
+        return _HANDLERS[args.command](args)
     except (NoConvergenceError, ArithmeticError) as exc:
         print(f"pubtfp: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR

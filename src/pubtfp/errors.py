@@ -8,6 +8,7 @@ maps everything except solver/internal failures to exit code 1.
 import csv
 import io
 from pathlib import Path
+from typing import Iterable, Sequence
 
 
 class PubTfpError(Exception):
@@ -80,3 +81,10 @@ def _csv_cells(*cells: str) -> str:
     buffer = io.StringIO()  # the line end is cut, not left out: with "" csv would not quote "\n"
     csv.writer(buffer, lineterminator="\n").writerow(cells)
     return buffer.getvalue()[:-1]
+
+
+def _write_csv(path: str | Path, header: Sequence[str], chunks: Iterable[str]) -> None:
+    """Write one of the toolkit's CSV files: the header line, then ``chunks`` of whole lines."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(_csv_cells(*header) + "\n")
+        handle.writelines(chunks)

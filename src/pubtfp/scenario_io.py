@@ -252,23 +252,6 @@ def load_scenarios(path: str | Path) -> list[Scenario | FailedScenario]:
 
 
 _SIMULATION_REQUIRED = frozenset({"technology", "convention", "start_year"})
-_SIMULATION_OPTIONAL = frozenset(
-    {
-        "years",
-        "levels",
-        "level_growth",
-        "bundle",
-        "capital",
-        "labor",
-        "prices",
-        "capital_price",
-        "wage",
-        "country",
-        "industry",
-        "description",
-    }
-)
-
 
 # Each piece of a simulation is a constant or per-year lists, never both:
 # (constant key, list keys), checked in this order
@@ -276,6 +259,10 @@ _PIECES = (
     ("level_growth", ("levels",)),
     ("bundle", ("capital", "labor")),
     ("prices", ("capital_price", "wage")),
+)
+_SIMULATION_OPTIONAL = frozenset(
+    {"years", "country", "industry", "description"}
+    | {key for constant, lists in _PIECES for key in (constant, *lists)}
 )
 
 

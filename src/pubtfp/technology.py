@@ -72,10 +72,10 @@ def _require_nonnegative(name: str, value: float) -> float:
     return value
 
 
-def _keep(tech: Technology, name: str, check: Callable[[str, float], float]) -> float:
-    """Validate a technology's field with ``check`` and store the float it returns."""
-    value = check(name, getattr(tech, name))
-    object.__setattr__(tech, name, value)
+def _keep(record: object, name: str, check: Callable[[str, float], float]) -> float:
+    """Validate a frozen record's field with ``check`` and store the float it returns."""
+    value = check(name, getattr(record, name))
+    object.__setattr__(record, name, value)
     return value
 
 
@@ -118,16 +118,10 @@ class FactorPrices:
     intermediates_price: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "capital_price", _require_positive("capital_price", self.capital_price)
-        )
-        object.__setattr__(self, "wage", _require_positive("wage", self.wage))
+        _keep(self, "capital_price", _require_positive)
+        _keep(self, "wage", _require_positive)
         if self.intermediates_price is not None:
-            object.__setattr__(
-                self,
-                "intermediates_price",
-                _require_positive("intermediates_price", self.intermediates_price),
-            )
+            _keep(self, "intermediates_price", _require_positive)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import logging
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -198,6 +200,15 @@ class TestTfpIndexSeries:
             TfpIndexSeries("AA", "edu", 1990, (1995, 1996), (100.0, 98.0))
         with pytest.raises(SeriesError, match="100 exactly"):
             TfpIndexSeries("AA", "edu", 1995, (1995, 1996), (100.0001, 98.0))
+
+    @pytest.mark.parametrize(
+        "values",
+        [(Fraction(100), Fraction(201, 2)), (Decimal(100), Decimal("100.5")), (100.0, "100.5")],
+    )
+    def test_values_must_be_int_or_float(self, values):
+        # write_indices prints each value with repr(), which only int and float keep numeric
+        with pytest.raises(SeriesError, match="index values must be int or float, got "):
+            TfpIndexSeries("FI", "public", 1995, (1995, 1996), values)
 
 
 class TestBuildIndices:

@@ -362,3 +362,17 @@ def test_paradox_batch_through_the_paradox_command(paradox_batch_file, capsys):
     )
     _write_report(outcomes, Path("again.csv"))
     assert sha256(Path("again.csv")) == sha256(Path("report.csv"))
+
+
+def test_report_command_on_a_mixed_report(paradox_batch_file, capsys):
+    # the batch holds confirmed, not confirmed and failed rows, so every branch of the tally runs
+    main(["paradox", "--input", "batch.yaml", "--output", "report.csv"])
+    capsys.readouterr()
+    assert main(["report", "--input", "report.csv"]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.splitlines()[-1] == (
+        "2500 scenario(s): 1300 confirmed, 100 not confirmed, 1100 failed"
+    )
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == (
+        "51817c815916985a9174f81f25b9f6f4ac23645488ec3a8ad5842bf3a8380698"
+    )

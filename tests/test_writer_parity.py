@@ -29,7 +29,8 @@ from pubtfp.accounting import (
     write_indices,
     write_panel,
 )
-from pubtfp.cli import PLOT_COLUMNS, _write_plot
+from pubtfp.cli import PLOT_COLUMNS, REPORT_COLUMNS, _write_plot, _write_report
+from pubtfp.paradoxes import ParadoxReport, ScenarioOutcome
 
 NAMES = (
     "plain",
@@ -214,6 +215,39 @@ def test_a_name_with_a_line_break_is_quoted():
         path = Path(directory, "indices.csv")
         write_indices([one], path)
         assert path.read_bytes() == b'year,country,industry,tfp_index\n1995,FI,"a\nb",100.0\n'
+
+
+def report_outcomes():
+    outcomes = []
+    for position, name in enumerate(NAMES):
+        text = f"bad {name}, again\n{name}"
+        outcomes.append(ScenarioOutcome(name, 1 + position % 5, error=text, error_kind="input"))
+        measured = (2.5, Level(1.0 / 3.0)) if position % 2 else (3, 7.25)
+        report = ParadoxReport(
+            1 + position % 5, name, *measured, 0.1 + 0.2, 1e-300, name, None, None
+        )
+        outcomes.append(ScenarioOutcome(name, 1 + position % 5, report=report))
+    outcomes.append(ScenarioOutcome("no text", 2, error=None, error_kind="internal"))
+    return outcomes
+
+
+def test_write_report_matches_the_csv_module():
+    outcomes = report_outcomes()
+    rows = []
+    for outcome in outcomes:
+        r = outcome.report
+        if r is None:
+            message = (outcome.error or "").replace("\n", "; ")
+            rows.append([outcome.name, outcome.paradox_id, "", "", "", "", "", "", "", message])
+        else:
+            numbers = (r.measured_before, r.measured_after, r.true_tfp_before, r.true_tfp_after)
+            rows.append([
+                outcome.name, outcome.paradox_id, r.convention,
+                *(repr(float(v)) for v in numbers),
+                "true" if r.paradox_confirmed else "false", r.welfare_direction, "",
+            ])
+    assert {row[7] for row in rows} == {"", "true", "false"}
+    assert_same_bytes(_write_report, outcomes, REPORT_COLUMNS, rows)
 
 
 def test_empty_input_writes_only_the_header():
