@@ -78,6 +78,12 @@ REPORT_COLUMNS = (
     "error",
 )
 PLOT_COLUMNS = ("year", "series", "value")
+# The cells a verdict row (one without an error) must hold, and how to say so;
+# the paradox ids are paradoxes.PARADOX_IDS, spelt out as ``report`` loads no solver
+_VERDICT_CELLS = {
+    "paradox_id": (frozenset({"1", "2", "3", "4", "5"}), "1-5"),
+    "confirmed": (frozenset({"true", "false"}), "true or false"),
+}
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -278,6 +284,11 @@ def _run_report(args: argparse.Namespace) -> int:
     short = next((line for line, row in enumerate(rows, start=2) if None in row.values()), None)
     if short is not None:
         return _not_a_report(args.input, f"row {short} is missing fields")
+    for line, row in enumerate(rows, start=2):
+        for column, (allowed, wording) in _VERDICT_CELLS.items():
+            if not row["error"] and row[column] not in allowed:
+                problem = f"row {line}: {column} must be {wording}, got {row[column]!r}"
+                return _not_a_report(args.input, problem)
     verdicts = []
     for row in rows:
         name, paradox_id = row["scenario"], row["paradox_id"]

@@ -512,6 +512,84 @@ class TestMoreUnreadableInputs:
         ) in proc.stderr
 
 
+HUGE = "1" * 5000  # past int()'s default 4,300-digit limit
+
+
+class TestValuesPastTheIntegerDigitLimit:
+    """A 5,000-digit integer is an input error that names the file, not a traceback."""
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="this Python reads any integer"
+    )
+    @pytest.mark.parametrize(
+        "command, text, where",
+        [
+            ("paradox", f"scenarios:\n  - name: huge\n    paradox: {HUGE}\n", ", line 3"),
+            (
+                "simulate",
+                SIMULATION_FILE.read_text(encoding="utf-8").replace("1995", HUGE),
+                ", line 9",
+            ),
+            # an anchor sends the file to the full loader, which does not know the line
+            ("paradox", f"scenarios:\n  - name: huge\n    paradox: &id {HUGE}\n", ""),
+        ],
+        ids=["paradox", "simulate", "paradox-with-an-anchor"],
+    )
+    def test_exits_one_naming_the_file(self, tmp_path, command, text, where):
+        source = tmp_path / "huge.yaml"
+        source.write_text(text, encoding="utf-8")
+        proc = run_cli(command, "--input", source, "--output", tmp_path / "out.csv")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"pubtfp: {source}{where}")
+        assert "a value cannot be read: Exceeds the limit (4300 digits)" in proc.stderr
+
+    def test_a_5000_digit_float_still_loads(self, tmp_path, capsys):
+        source = tmp_path / "long-float.yaml"
+        source.write_text(
+            "scenarios:\n" + GOOD_P1.replace("1.25", "1.25" + "0" * 5000), encoding="utf-8"
+        )
+        assert main(["paradox", "--input", str(source), "--output", str(tmp_path / "r.csv")]) == 0
+        assert "paradox 1 progress: confirmed" in capsys.readouterr().out
+
+
+class TestReportVerdictRows:
+    """A row without an error must carry a paradox id 1-5 and confirmed true or false."""
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("x,9,a,abc,,,,yes,,", "row 3: paradox_id must be 1-5, got '9'"),
+            ("x,0,,,,,,,,", "row 3: paradox_id must be 1-5, got '0'"),
+            ("x,1,a,1.0,1.0,1.0,1.0,yes,,", "row 3: confirmed must be true or false, got 'yes'"),
+            ("x,1,a,1.0,1.0,1.0,1.0,,,", "row 3: confirmed must be true or false, got ''"),
+        ],
+        ids=["paradox-9", "paradox-0", "confirmed-yes", "confirmed-empty"],
+    )
+    def test_malformed_verdict_row_is_rejected(self, tmp_path, capsys, row, problem):
+        report = tmp_path / "report.csv"
+        # the error row ahead of it is not checked
+        report.write_text(f"{','.join(REPORT_COLUMNS)}\ny,0,,,,,,,,boom\n{row}\n", encoding="utf-8")
+        assert main(["report", "--input", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{report} is not a paradox report: {problem}\n"
+
+    def test_paradox_ids_match_the_runners(self):
+        from pubtfp import cli
+        from pubtfp.paradoxes import PARADOX_IDS
+
+        assert cli._VERDICT_CELLS["paradox_id"][0] == {str(i) for i in PARADOX_IDS}
+
+    def test_error_rows_may_carry_paradox_id_zero(self, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        report.write_text(f"{','.join(REPORT_COLUMNS)}\nx,0,,,,,,,,boom\n", encoding="utf-8")
+        assert main(["report", "--input", str(report)]) == 0
+        assert capsys.readouterr().out == (
+            "paradox 0 x: ERROR boom\n1 scenario(s): 0 confirmed, 0 not confirmed, 1 failed\n"
+        )
+
+
 class TestSimulationOutOfRange:
     """A simulation config that leaves the float range names its key or row and exits 1."""
 

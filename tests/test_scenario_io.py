@@ -2,6 +2,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pubtfp import scenario_io
 from pubtfp.errors import InvalidParameterError, ScenarioError
@@ -227,6 +229,69 @@ def generated_scenarios(count):
     return "\n".join(lines) + "\n"
 
 
+def built(path):
+    """What the event builder makes of a file: its document, or ``_Declined``
+    when it leaves the file to the full loader."""
+    with path.open(encoding="utf-8") as handle:
+        try:
+            return scenario_io._build(scenario_io._LOADER(handle), path)
+        except (scenario_io._Declined, yaml.YAMLError):
+            return scenario_io._Declined
+
+
+def bench_shaped_batch(count):
+    """Scenarios laid out as the benchmark's batches: folded descriptions, block
+    and flow maps, four-digit numbers, and every tenth entry planted to fail."""
+    families = {
+        "cobb-douglas": "{family: cobb-douglas, alpha_capital: 0.%04d, alpha_labor: 0.6, "
+                        "level: 1.%04d}",
+        "ces": "{family: ces, capital_weight: 0.%04d, substitution: -0.5, level: 1.%04d}",
+    }
+    lines = ["# Generated paradox scenarios.", "scenarios:"]
+    for n in range(count):
+        family = sorted(families)[n % 2]
+        lines += [
+            f"  - name: case-{n:05d}-p{n % 5 + 1}",
+            "    description: >",
+            f"      Case {n} under a {family} frontier, drawn from the documented",
+            f"      valid region (variant {n * 37 % 1000}).",
+            f"    paradox: {n % 5 + 1}" if n % 10 else "    paradox: 9",
+            "    technology: " + families[family] % (1000 + n, n),
+        ]
+        if n % 3:
+            lines.append(f"    bundle: {{capital: 1.{n:04d}, labor: 2.5}}")
+        else:
+            lines += ["    bundle:", f"      capital: {n % 7 + 1}", "      labor: 2.5"]
+        lines += [f"    prices: {{capital_price: 1.{n:04d}, wage: 0.75}}", ""]
+    return "\n".join(lines)
+
+
+def _plain_documents():
+    """YAML text of random nested documents in the builder's plain subset."""
+    tokens = st.sampled_from(
+        ["1", "-2", "0.5", "1e3", "1.0e-3", ".inf", "-.Inf", ".NaN", "0x1F", "0o17", "017",
+         "1:30", "+12", "1_000", "yes", "No", "off", "true", "False", "~", "null", "abc",
+         "two words", "'quoted'", '"1.5"', "'yes'", "Ä"]
+    )
+    values = st.recursive(
+        tokens,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4).map(lambda items: "[" + ", ".join(items) + "]"),
+            st.lists(st.tuples(tokens, inner), max_size=4).map(
+                lambda pairs: "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
+            ),
+        ),
+        max_leaves=12,
+    )
+    block_mapping = st.lists(st.tuples(tokens, values), min_size=1, max_size=6).map(
+        lambda pairs: "".join(f"{k}: {v}\n" for k, v in pairs)
+    )
+    block_sequence = st.lists(values, min_size=1, max_size=6).map(
+        lambda items: "".join(f"- {v}\n" for v in items)
+    )
+    return st.one_of(block_mapping, block_sequence, values)
+
+
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
 class TestLoaderParity:
     """libyaml and the pure-Python parser build equal documents."""
@@ -239,6 +304,123 @@ class TestLoaderParity:
         assert fast == yaml.load(text, Loader=yaml.SafeLoader)
         if name is None:
             assert len(fast["scenarios"]) > 200
+
+    # Documents inside and outside the event builder's plain subset; each must
+    # read exactly as PyYAML's own loader reads it, or fail with its error.
+    PARITY_SCALARS = _SCALARS + (
+        ".inf", "-.Inf", ".NaN", "0o17", "yes", "No", "off", "~", "", "'1.5'", '"017"',
+        "'true'", "'~'", "1.0", "-0", "0b101", "190:20:30.15", "12_345", "True", "NULL",
+    )
+    PARITY_DOCUMENTS = {
+        "scalars": "".join(f"k{n}: {s}\n" for n, s in enumerate(PARITY_SCALARS)),
+        "plain-scalars": "".join(f"- {s}\n" for s in PARITY_SCALARS if s != "2001-12-14"),
+        "scalar-list": "".join(f"- {s}\n" for s in PARITY_SCALARS),
+        "scalar-keys": "".join(f"{s or '?'}: {n}\n" for n, s in enumerate(PARITY_SCALARS[:17])),
+        "duplicate-keys": "a: 1\nb: 2\na: 3\n",
+        "colliding-keys": "{1: int, 1.0: float, true: bool}\n",
+        "colliding-keys-block": "true: 1\n1: 2\n1.0: 3\nnull: 4\n~: 5\n",
+        "nested": "- 1\n- [2, {x: y, z: [3, {}]}]\n- {}\n- []\n- a:\n    - b: c\n      d: e\n",
+        "block-scalars": "a: |\n  1\n  2\nb: >\n  folded\n  text\nc: |-\n  keep\n",
+        "merge": "base: &b {x: 1}\nderived:\n  <<: *b\n  y: 2\n",
+        "merge-list": "<<: [{a: 1}, {b: 2}]\nc: 3\n",
+        "value-key": "=: 1\n",
+        "complex-key": "? [complex]\n: 1\n",
+        "mapping-key": "? {a: 1}\n: 2\n",
+        "flow-complex-key": "{[1]: 2}\n",
+        "tags": "a: !!str 1\nb: !!float 1\n",
+        "non-specific-tag": "a: ! 1\n",
+        "anchors": "a: &x 1\nb: *x\nc: &m {k: v}\nd: *m\n",
+        "two-documents": "a: 1\n---\nb: 2\n",
+        "empty": "",
+        "bare-start": "---\n",
+        "comments": "# one\n  # two\n",
+        "bom": "\ufeffa: 1\n",
+        "directive": "%YAML 1.1\n---\na: 1\n...\n",
+        "timestamp": "a: 2001-12-14\n",
+        "unclosed-flow": "a: [1, 2\n",
+        "nested-colon": "a: b: c\n",
+        "bad-indent": "a:\n  b: 1\n c: 2\n",
+        "unknown-alias": "a: *nowhere\n",
+        "tab-indent": "a:\n\tb: 1\n",
+        "python-tag": "a: !!python/name:os.system\n",
+        "bad-int": "a: 0x_\n",
+    }
+
+    @staticmethod
+    def _outcome(read, path):
+        try:
+            return "value", repr(read(path))
+        except Exception as exc:
+            return type(exc).__name__, str(exc)
+
+    @pytest.mark.parametrize(
+        "loader", [scenario_io._LOADER, yaml.SafeLoader], ids=["default", "python"]
+    )
+    @pytest.mark.parametrize("name", sorted(PARITY_DOCUMENTS))
+    def test_load_yaml_reads_as_the_loader_does(self, tmp_path, monkeypatch, loader, name):
+        """By type and value: repr tells 1, 1.0 and True apart, and NaN reads as equal."""
+        path = write(tmp_path, self.PARITY_DOCUMENTS[name])
+        monkeypatch.setattr(scenario_io, "_LOADER", loader)
+
+        def reference(path):
+            with path.open(encoding="utf-8") as handle:
+                return yaml.load(handle, Loader=loader)
+
+        expected = self._outcome(reference, path)
+        if expected[0] == "value":
+            assert self._outcome(scenario_io._load_yaml, path) == expected
+            return
+        with pytest.raises(ScenarioError) as raised:
+            scenario_io._load_yaml(path)
+        kind, text = expected
+        if kind == "ValueError":  # a value past what int() or float() reads
+            assert str(raised.value) == f"{path}, line 1: a value cannot be read: {text}"
+            return
+        assert str(raised.value) == f"{path} is not valid YAML: {text}"
+        cause = raised.value.__context__  # the loader's own error, suppressed by `from None`
+        assert (type(cause).__name__, str(cause)) == expected
+
+    def test_builder_declines_outside_the_plain_subset(self, tmp_path):
+        declined = {
+            name for name, text in self.PARITY_DOCUMENTS.items()
+            if name != "bad-int" and built(write(tmp_path, text)) is scenario_io._Declined
+        }
+        assert declined == {
+            "merge", "merge-list", "value-key", "complex-key", "mapping-key",
+            "flow-complex-key", "tags", "non-specific-tag", "anchors", "two-documents",
+            "timestamp", "unknown-alias", "python-tag",
+            "scalars", "scalar-list", "scalar-keys",  # each holds a timestamp
+            # syntax errors: the full loader words them
+            "unclosed-flow", "nested-colon", "bad-indent", "tab-indent",
+        }
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(document=_plain_documents())
+    def test_random_plain_documents_read_as_the_loader_does(self, tmp_path_factory, document):
+        path = tmp_path_factory.mktemp("doc") / "doc.yaml"
+        path.write_text(document, encoding="utf-8")
+        with path.open(encoding="utf-8") as handle:
+            expected = repr(yaml.load(handle, Loader=scenario_io._LOADER))
+        assert repr(scenario_io._load_yaml(path)) == expected
+
+
+class TestBuilderIsUsed:
+    """The shipped files and bench-shaped batches never fall back to the full loader."""
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.name)
+    def test_shipped_files(self, path):
+        assert built(path) is not scenario_io._Declined
+
+    def test_bench_shaped_batch(self, tmp_path, monkeypatch):
+        path = write(tmp_path, bench_shaped_batch(250))
+        expected = load_scenarios(path)
+        assert sum(isinstance(s, FailedScenario) for s in expected) == 25
+
+        def full_loader(*args, **kwargs):
+            raise AssertionError("the full loader ran")
+
+        monkeypatch.setattr(scenario_io.yaml, "load", full_loader)
+        assert load_scenarios(path) == expected
 
 
 def test_pure_python_loader_gives_equal_scenarios(tmp_path, monkeypatch):
