@@ -158,22 +158,25 @@ def min_cost_bundle(
     raise DomainError(f"cost minimization is not implemented for family {tech.family!r}")
 
 
-def allocative_gap(tech: Technology, prices: FactorPrices, bundle: InputBundle) -> float:
-    """Minimum cost of the bundle's own output divided by its actual cost.
-
-    Lies in (0, 1]; equals 1 exactly when the bundle is cost-minimizing at
-    these prices. Only the capital and labor components are priced, so the
-    technology must be a value-added one.
-    """
+def _check_gap_domain(tech: Technology, bundle: InputBundle) -> None:
+    """The allocative gap's two domain checks, in the order they raise."""
     if tech.uses_intermediates:
         raise DomainError("allocative gap is defined for value-added technologies only")
     if bundle.capital <= 0.0 or bundle.labor <= 0.0:
         raise DomainError("allocative gap requires strictly positive capital and labor")
-    actual_cost = cost_based_value_added(prices, bundle)
-    target = tech.output(bundle)
-    best = min_cost_bundle(tech, prices, target)
+
+
+def allocative_gap(tech: Technology, prices: FactorPrices, bundle: InputBundle) -> float:
+    """Minimum cost of the bundle's own output divided by its actual cost.
+
+    Lies in (0, 1]; equals 1 exactly when the bundle is cost-minimizing at
+    these prices. Only capital and labor are priced, so the technology must
+    be a value-added one. Paradox 2 runs the same checks and ratio on its one solve.
+    """
+    _check_gap_domain(tech, bundle)
+    best = min_cost_bundle(tech, prices, tech.output(bundle))
     # guard against ratios such as 1 + 1e-16 when the bundle is already optimal
-    return min(best.cost / actual_cost, 1.0)
+    return min(best.cost / cost_based_value_added(prices, bundle), 1.0)
 
 
 def find_mpss(tech: Technology, ray_bundle: InputBundle) -> MpssResult:

@@ -165,18 +165,18 @@ class MeasuredTfp:
             raise InvalidParameterError(
                 f"unknown convention {self.convention!r}; expected one of {CONVENTIONS}"
             )
-        object.__setattr__(self, "numerator", _positive("numerator", self.numerator))
-        object.__setattr__(self, "denominator", _positive("denominator", self.denominator))
-        object.__setattr__(self, "value", _positive("value", self.value))
+        # a float already in (0, inf) is kept as given; anything else goes through the validator
+        for name in ("numerator", "denominator", "value"):
+            v = getattr(self, name)
+            if not (type(v) is float and 0.0 < v < math.inf):
+                object.__setattr__(self, name, _positive(name, v))
 
 
 def _ratio(numerator: float, denominator: float, convention: str) -> MeasuredTfp:
-    # checked before dividing, in MeasuredTfp's order, so a zero frontier
-    # output is an invalid measurement rather than a ZeroDivisionError
-    _positive("numerator", numerator)
-    _positive("denominator", denominator)
+    # MeasuredTfp checks the numerator before the denominator, so a zero
+    # frontier output fails as an invalid denominator, not a ZeroDivisionError
     return MeasuredTfp(
-        value=numerator / denominator,
+        value=numerator / denominator if denominator else math.nan,
         convention=convention,
         numerator=numerator,
         denominator=denominator,

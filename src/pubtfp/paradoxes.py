@@ -23,7 +23,8 @@ from dataclasses import dataclass, field, fields, replace
 from os import PathLike
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
-from .efficiency import allocative_gap, apply_technical_progress, find_mpss, min_cost_bundle
+from .efficiency import _check_gap_domain, apply_technical_progress, find_mpss, min_cost_bundle
+from .efficiency import allocative_gap  # unused here; perfbench's tracer patches it on this module
 from .errors import (
     AlreadyEfficientError,
     InvalidParameterError,
@@ -36,6 +37,7 @@ from .errors import (
 from .measurement import (
     MeasuredTfp,
     PricingScheme,
+    cost_based_value_added,
     measured_tfp_cost_based,
     measured_tfp_revenue,
 )
@@ -92,10 +94,9 @@ class Tolerances:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = float(getattr(self, f.name))
-            if not math.isfinite(value) or value <= 0.0 or value >= 1.0:
-                raise InvalidParameterError(
-                    f"tolerance {f.name} must lie in (0, 1), got {value!r}"
-                )
+            if not 0.0 < value < 1.0:  # nan fails too
+                raise InvalidParameterError(f"tolerance {f.name} must lie in (0, 1), got {value!r}")
+            object.__setattr__(self, f.name, value)
 
     def replaced(self, overrides: Mapping[str, float]) -> "Tolerances":
         unknown = set(overrides) - {f.name for f in fields(self)}
@@ -240,14 +241,15 @@ def run_paradox_2(
     initial_bundle: InputBundle,
     tolerances: Tolerances = Tolerances(),
 ) -> ParadoxReport:
-    """Allocative improvement: same output from the cost-minimizing mix."""
-    gap = allocative_gap(tech, prices, initial_bundle)
+    """Allocative improvement: same output from the cost-minimizing mix, found by one solve."""
+    _check_gap_domain(tech, initial_bundle)
+    target = tech.output(initial_bundle)
+    best = min_cost_bundle(tech, prices, target)
+    gap = min(best.cost / cost_based_value_added(prices, initial_bundle), 1.0)
     if gap >= 1.0 - tolerances.allocative_efficiency:
         raise AlreadyEfficientError(
             f"bundle is already cost-minimizing at these prices (allocative gap {gap!r})"
         )
-    target = tech.output(initial_bundle)
-    best = min_cost_bundle(tech, prices, target)
     reached = tech.output(best.bundle)
     if not math.isclose(reached, target, rel_tol=tolerances.identity_check, abs_tol=0.0):
         raise NoConvergenceError(
@@ -281,7 +283,7 @@ def run_paradox_3(
     # the proofs' intermediate inequality: when scaling up, output grows more
     # than proportionally; when scaling down, it shrinks less than
     # proportionally. Both read f(s*b)/f(b) > s.
-    rap_before = tech.output(bundle)
+    rap_before = before.tfp.denominator  # f(bundle), already evaluated by the measurement
     output_ratio = mpss.output / rap_before
     if output_ratio <= mpss.scale_factor:
         raise NoConvergenceError(
@@ -391,20 +393,15 @@ _OPTIONAL_FIELD_NAMES = frozenset().union(*(required for required, _ in _RUNNERS
 def run_scenario(scenario: Scenario, tolerances: Tolerances = Tolerances()) -> ParadoxReport:
     """Validate a scenario's field set against its paradox and run it."""
     required, run = _RUNNERS[scenario.paradox_id]
-    present = {
-        name for name in _OPTIONAL_FIELD_NAMES if getattr(scenario, name) is not None
-    }
-    missing = required - present
-    extra = present - required
-    if missing or extra:
-        parts = []
-        if missing:
-            parts.append(f"missing {sorted(missing)!r}")
-        if extra:
-            parts.append(f"unexpected {sorted(extra)!r}")
+    present = {name for name in _OPTIONAL_FIELD_NAMES if getattr(scenario, name) is not None}
+    if present != required:
+        parts = [
+            f"{kind} {sorted(names)!r}"
+            for kind, names in (("missing", required - present), ("unexpected", present - required))
+            if names
+        ]
         raise ScenarioError(
-            f"scenario {scenario.name!r} (paradox {scenario.paradox_id}): "
-            + ", ".join(parts)
+            f"scenario {scenario.name!r} (paradox {scenario.paradox_id}): " + ", ".join(parts)
         )
     return run(scenario, tolerances)
 

@@ -31,6 +31,16 @@ TRACED_NAMES = {
 }
 DEFERRED_NAMES = (*TRACED_NAMES, "Tolerances")
 
+# the names a tracer patches on the paradox runners' and solvers' modules
+TRACED_MODULE_GLOBALS = {
+    "paradoxes": (
+        "run_all", "run_paradox_1", "run_paradox_2", "run_paradox_3", "run_paradox_4",
+        "run_paradox_5", "min_cost_bundle", "allocative_gap", "find_mpss",
+        "measured_tfp_cost_based", "measured_tfp_revenue",
+    ),
+    "efficiency": ("min_cost_bundle",),
+}
+
 
 def python(code: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter on the package under test."""
@@ -218,3 +228,12 @@ class TestPatchableCliNames:
         assert main(command) == 0
         assert len(calls) == 1
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(module, name) for module, names in TRACED_MODULE_GLOBALS.items() for name in names],
+)
+def test_traced_names_stay_module_globals(module, name):
+    # a wrapper set on the module attribute is only seen while the name is a global there
+    assert callable(vars(importlib.import_module(f"pubtfp.{module}")).get(name)), name

@@ -1,9 +1,13 @@
 import math
+from decimal import Decimal
 
 import pytest
 
+import pubtfp.efficiency
+import pubtfp.paradoxes
 from pubtfp.errors import (
     AlreadyEfficientError,
+    DomainError,
     InvalidParameterError,
     MarkupNotReducedError,
     NoConvergenceError,
@@ -106,6 +110,92 @@ class TestAllocativeParadox:
     def test_already_efficient_bundle_is_refused(self):
         with pytest.raises(AlreadyEfficientError):
             run_paradox_2(self.symmetric, UNIT_PRICES, InputBundle(2.0, 2.0))
+
+    # each failure path in the order the runner checks it: the gap's domain
+    # (value-added technology first, then positive inputs), the solver's target
+    # and bracket checks, the efficiency guard, the isoquant check
+    @pytest.mark.parametrize(
+        "tech, prices, bundle, tolerances, error, text",
+        [
+            pytest.param(
+                GROSS_CD, FactorPrices(1.0, 1.0, 1.0), InputBundle(0.0, 1.0, 1.0), Tolerances(),
+                DomainError, "allocative gap is defined for value-added technologies only",
+                id="intermediates",
+            ),
+            pytest.param(
+                CD37, UNIT_PRICES, InputBundle(0.0, 1.0), Tolerances(),
+                DomainError, "allocative gap requires strictly positive capital and labor",
+                id="zero-capital",
+            ),
+            pytest.param(
+                CobbDouglas(alpha_capital=2.0, alpha_labor=2.0), UNIT_PRICES,
+                InputBundle(1e-200, 1e-200), Tolerances(),
+                DomainError, "target output must be strictly positive, got 0.0",
+                id="output-underflow",
+            ),
+            pytest.param(
+                Ces(capital_weight=0.4, substitution=-1.0), FactorPrices(1e40, 1e-5),
+                UNIT_BUNDLE, Tolerances(),
+                NoConvergenceError,
+                "factor price ratio lies outside the bracketed range of capital-labor ratios",
+                id="outside-bracket",
+            ),
+            pytest.param(
+                symmetric, UNIT_PRICES, InputBundle(3.0, 2.9999), Tolerances(),
+                AlreadyEfficientError,
+                "bundle is already cost-minimizing at these prices "
+                "(allocative gap 0.9999999998611062)",
+                id="already-efficient",
+            ),
+            pytest.param(
+                CD37, FactorPrices(2.0, 1.0), InputBundle(4.0, 1.0),
+                Tolerances(identity_check=1e-17),
+                NoConvergenceError,
+                "cost minimizer left the isoquant: "
+                "output 1.5157165665103978 for target 1.515716566510398",
+                id="tight-identity-check",
+            ),
+        ],
+    )
+    def test_error_type_and_text(self, tech, prices, bundle, tolerances, error, text):
+        with pytest.raises(error) as info:
+            run_paradox_2(tech, prices, bundle, tolerances)
+        assert type(info.value) is error
+        assert str(info.value) == text
+
+
+class TestSolverCalls:
+    """Paradox 2 solves its cost minimization once; no other paradox solves one."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = pubtfp.efficiency.min_cost_bundle
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pubtfp.paradoxes, "min_cost_bundle", counting)
+        monkeypatch.setattr(pubtfp.efficiency, "min_cost_bundle", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "tech",
+        [CD37, Ces(capital_weight=0.4, substitution=-0.5), TRANSLOG],
+        ids=["cobb-douglas", "ces", "translog"],
+    )
+    def test_paradox_2_solves_once(self, calls, tech):
+        report = run_paradox_2(tech, FactorPrices(2.0, 1.0), InputBundle(4.0, 1.0))
+        assert report.paradox_confirmed
+        assert len(calls) == 1
+
+    def test_other_paradoxes_never_solve(self, calls):
+        run_paradox_1(CD37, UNIT_BUNDLE, UNIT_PRICES, TechnologyShift(1.25))
+        run_paradox_3(TRANSLOG, UNIT_PRICES, UNIT_BUNDLE)
+        run_paradox_4(CD37, UNIT_BUNDLE, UNIT_PRICES, FactorPrices(0.8, 0.9))
+        run_paradox_5(SCHEME, SCHEME.with_markups([0.1, 0.05]), GROSS_CD, GROSS_BUNDLE)
+        assert calls == []
 
 
 class TestScaleParadox:
@@ -234,6 +324,17 @@ class TestTolerances:
     def test_replaced_rejects_unknown_names(self):
         with pytest.raises(InvalidParameterError):
             Tolerances().replaced({"spelling": 0.5})
+
+    def test_stores_the_converted_floats(self):
+        t = Tolerances(allocative_efficiency="1e-9").replaced({"identity_check": Decimal("1e-9")})
+        scenario = Scenario(
+            name="rebalance", paradox_id=2, technology=CD37, bundle=InputBundle(4.0, 1.0),
+            prices=UNIT_PRICES,
+        )
+        (outcome,) = run_all([scenario], t)
+        assert outcome.error is None and outcome.report.paradox_confirmed
+        assert type(t.allocative_efficiency) is float and t.allocative_efficiency == 1e-9
+        assert type(t.identity_check) is float and t.identity_check == 1e-9
 
     def test_wide_scale_tolerance_turns_a_move_into_a_fixed_point(self):
         near_peak = InputBundle(math.e * 1.2, math.e * 1.2)
