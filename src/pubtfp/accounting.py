@@ -25,7 +25,7 @@ import csv
 import logging
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby, starmap
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -62,17 +62,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-PANEL_COLUMNS = (
-    "year",
-    "country",
-    "industry",
-    "va_nominal",
-    "va_deflator",
-    "capital_services",
-    "labor_input",
-    "labor_share",
-    "capital_share",
-)
 INDEX_COLUMNS = ("year", "country", "industry", "tfp_index")
 
 SIMULATION_CONVENTIONS = ("sna-cost", "market")
@@ -157,6 +146,10 @@ class PanelObservation:
     @property
     def key(self) -> tuple[str, str]:
         return (self.country, self.industry)
+
+
+# a panel CSV's header: PanelObservation's fields, in order
+PANEL_COLUMNS = tuple(f.name for f in fields(PanelObservation))
 
 
 def deflate(nominal: float, deflator: float) -> float:

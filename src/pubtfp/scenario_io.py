@@ -13,6 +13,8 @@ nothing sensible to salvage from a partial one.
 from __future__ import annotations
 
 import math
+from dataclasses import MISSING, fields
+from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -41,33 +43,13 @@ __all__ = ["load_scenarios", "load_simulation"]
 # Python resolver and SafeConstructor, so they build equal documents.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-_FAMILIES: dict[str, tuple[type, frozenset[str], frozenset[str]]] = {
-    "cobb-douglas": (
-        CobbDouglas,
-        frozenset({"alpha_capital", "alpha_labor"}),
-        frozenset({"level", "alpha_intermediates"}),
-    ),
-    "ces": (
-        Ces,
-        frozenset({"capital_weight", "substitution"}),
-        frozenset({"returns_to_scale", "level"}),
-    ),
-    "homothetic-translog": (
-        HomotheticTranslog,
-        frozenset({"inner_alpha_capital", "slope", "curvature"}),
-        frozenset({"level"}),
-    ),
-    "two-level-ces": (
-        TwoLevelCes,
-        frozenset(
-            {"capital_weight", "inner_substitution", "value_added_weight", "outer_substitution"}
-        ),
-        frozenset({"returns_to_scale", "level"}),
-    ),
+_FAMILIES: dict[str, type[Technology]] = {
+    cls.family: cls for cls in (CobbDouglas, Ces, HomotheticTranslog, TwoLevelCes)
 }
 
+
 def _require_mapping(value: Any, where: str) -> Mapping[str, Any]:
-    if not isinstance(value, Mapping):
+    if type(value) is not dict and not isinstance(value, Mapping):  # dict: skip the ABC check
         raise ScenarioError(f"{where} must be a mapping, got {type(value).__name__}")
     return value
 
@@ -81,7 +63,12 @@ def _check_keys(
     if missing:
         raise ScenarioError(f"{where} is missing keys {sorted(missing)!r}")
     if unknown:
-        raise ScenarioError(f"{where} has unknown keys {sorted(unknown)!r}")
+        try:
+            ordered = sorted(unknown)
+        except TypeError:  # keys of mixed types: the strings in order, then the rest by repr
+            ordered = sorted(key for key in unknown if isinstance(key, str))
+            ordered += sorted(unknown.difference(ordered), key=repr)
+        raise ScenarioError(f"{where} has unknown keys {ordered!r}")
 
 
 def _number(value: Any, where: str) -> float:
@@ -108,60 +95,47 @@ def _number_list(value: Any, where: str) -> tuple[float, ...]:
     return tuple(_number(item, f"{where}[{position}]") for position, item in enumerate(value))
 
 
+@cache
+def _schema(cls: type) -> tuple[frozenset[str], frozenset[str]]:
+    """A record class's required and optional keys: its fields without and with a default."""
+    required = frozenset(f.name for f in fields(cls) if f.default is f.default_factory is MISSING)
+    return required, frozenset(f.name for f in fields(cls)) - required
+
+
+def _record(cls: type, mapping: Any, where: str) -> Any:
+    """``cls`` built from a mapping of its fields to numbers, checked in file order."""
+    mapping = _require_mapping(mapping, where)
+    _check_keys(mapping, *_schema(cls), where)
+    return cls(**{key: _number(value, f"{where}.{key}") for key, value in mapping.items()})
+
+
 def _technology(value: Any, where: str) -> Technology:
     mapping = _require_mapping(value, where)
     family = mapping.get("family")
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ScenarioError(
             f"{where}: family must be one of {sorted(_FAMILIES)!r}, got {family!r}"
         )
-    cls, required, optional = _FAMILIES[family]
-    _check_keys(mapping, required | {"family"}, optional, where)
-    params = {
-        key: _number(val, f"{where}.{key}") for key, val in mapping.items() if key != "family"
-    }
-    return cls(**params)
+    params = dict(mapping)
+    del params["family"]
+    return _record(_FAMILIES[family], params, where)
 
 
 def _bundle(value: Any, where: str) -> InputBundle:
-    mapping = _require_mapping(value, where)
-    _check_keys(mapping, frozenset({"capital", "labor"}), frozenset({"intermediates"}), where)
-    return InputBundle(**{key: _number(val, f"{where}.{key}") for key, val in mapping.items()})
+    return _record(InputBundle, value, where)
 
 
 def _prices(value: Any, where: str) -> FactorPrices:
-    mapping = _require_mapping(value, where)
-    _check_keys(
-        mapping,
-        frozenset({"capital_price", "wage"}),
-        frozenset({"intermediates_price"}),
-        where,
-    )
-    return FactorPrices(**{key: _number(val, f"{where}.{key}") for key, val in mapping.items()})
+    return _record(FactorPrices, value, where)
 
 
 def _pricing(value: Any, where: str) -> PricingScheme:
     from .measurement import PricedOutput, PricingScheme  # simulation configs need neither
     if not isinstance(value, list) or not value:
         raise ScenarioError(f"{where} must be a nonempty list of outputs")
-    outputs = []
-    for position, entry in enumerate(value):
-        entry_where = f"{where}[{position}]"
-        mapping = _require_mapping(entry, entry_where)
-        _check_keys(
-            mapping,
-            frozenset({"quantity", "marginal_cost", "markup"}),
-            frozenset(),
-            entry_where,
-        )
-        outputs.append(
-            PricedOutput(
-                marginal_cost=_number(mapping["marginal_cost"], f"{entry_where}.marginal_cost"),
-                markup=_number(mapping["markup"], f"{entry_where}.markup"),
-                quantity=_number(mapping["quantity"], f"{entry_where}.quantity"),
-            )
-        )
-    return PricingScheme(tuple(outputs))
+    return PricingScheme(tuple(
+        _record(PricedOutput, entry, f"{where}[{position}]") for position, entry in enumerate(value)
+    ))
 
 
 # YAML key -> (Scenario field, parser), in parse order: the first parse that
@@ -339,16 +313,16 @@ def load_scenarios(path: str | Path) -> list[Scenario | FailedScenario]:
 
 _SIMULATION_REQUIRED = frozenset({"technology", "convention", "start_year"})
 
-# Each piece of a simulation is a constant or per-year lists, never both:
-# (constant key, list keys), checked in this order
+# Each piece of a simulation is a constant or per-year lists, never both: (constant key,
+# the record class the constant is read as or None for a number, list keys), in this order
 _PIECES = (
-    ("level_growth", ("levels",)),
-    ("bundle", ("capital", "labor")),
-    ("prices", ("capital_price", "wage")),
+    ("level_growth", None, ("levels",)),
+    ("bundle", InputBundle, ("capital", "labor")),
+    ("prices", FactorPrices, ("capital_price", "wage")),
 )
 _SIMULATION_OPTIONAL = frozenset(
     {"years", "country", "industry", "description"}
-    | {key for constant, lists in _PIECES for key in (constant, *lists)}
+    | {key for constant, _, lists in _PIECES for key in (constant, *lists)}
 )
 
 
@@ -391,7 +365,7 @@ def load_simulation(path: str | Path) -> SimulationSpec:
     technology = _technology(mapping["technology"], f"{where}.technology")
     list_keys = [
         key
-        for constant, lists in _PIECES
+        for constant, _, lists in _PIECES
         if _given_as_lists(mapping, constant, lists, where)
         for key in lists
     ]
@@ -425,27 +399,19 @@ def load_simulation(path: str | Path) -> SimulationSpec:
                     f"the float range in year {year}"
                 )
         series["levels"] = tuple(levels)
-    if "capital" not in series:
-        bundle = _bundle(mapping["bundle"], f"{where}.bundle")
-        series["capital"] = (bundle.capital,) * n
-        series["labor"] = (bundle.labor,) * n
-    if "capital_price" not in series:
-        prices = _prices(mapping["prices"], f"{where}.prices")
-        series["capital_price"] = (prices.capital_price,) * n
-        series["wage"] = (prices.wage,) * n
+    for constant, cls, lists in _PIECES[1:]:
+        if lists[0] not in series:
+            record = _record(cls, mapping[constant], f"{where}.{constant}")
+            series.update((key, (getattr(record, key),) * n) for key in lists)
 
-    extras: dict[str, str] = {}
-    if "country" in mapping:
-        extras["country"] = _string(mapping["country"], f"{where}.country")
-    if "industry" in mapping:
-        extras["industry"] = _string(mapping["industry"], f"{where}.industry")
+    extras = {
+        key: _string(mapping[key], f"{where}.{key}")
+        for key in ("country", "industry")
+        if key in mapping
+    }
     return SimulationSpec(
         technology=technology,
-        levels=series["levels"],
-        capital=series["capital"],
-        labor=series["labor"],
-        capital_price=series["capital_price"],
-        wage=series["wage"],
+        **series,
         start_year=_integer(mapping["start_year"], f"{where}.start_year"),
         convention=_string(mapping["convention"], f"{where}.convention"),
         **extras,

@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
 
@@ -93,6 +94,13 @@ class TestPanelObservation:
         with pytest.raises(InvalidParameterError):
             obs(2001, deflator=-1.0)
 
+
+    def test_panel_columns_are_the_fields_in_order(self):
+        assert PANEL_COLUMNS == (
+            "year", "country", "industry", "va_nominal", "va_deflator", "capital_services",
+            "labor_input", "labor_share", "capital_share",
+        )
+        assert PANEL_COLUMNS == tuple(f.name for f in fields(PanelObservation))
 
 class TestTornqvistGrowth:
     def test_no_growth_means_zero(self):

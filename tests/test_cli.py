@@ -677,3 +677,68 @@ simulation:
             f"got inf (simulation config {config})\n"
         )
         assert not (tmp_path / "panel.csv").exists()
+
+
+class TestOddKeysAndFamilies:
+    """Unknown keys of mixed types and an unhashable family exit 1 with the
+    file named, as an error row for ``paradox``; no TypeError escapes."""
+
+    PARADOX = """\
+scenarios:
+  - name: probe
+    paradox: 1
+    technology: {technology}
+    bundle: {{capital: 1, labor: 1}}
+    shift_factor: 1.25
+"""
+    SIMULATION = """\
+simulation:
+  convention: market
+  start_year: 1995
+  years: 2
+  level_growth: 0.0
+  technology: {technology}
+  bundle: {{capital: 1, labor: 1}}
+  prices: {{capital_price: 1, wage: 1}}
+"""
+    FAMILIES = "['ces', 'cobb-douglas', 'homothetic-translog', 'two-level-ces']"
+
+    @pytest.mark.parametrize(
+        "technology, error",
+        [
+            ("{family: ces, capital_weight: 0.4, substitution: -1, 1: 2, x: 3}",
+             "scenario 1.technology has unknown keys ['x', 1]"),
+            ("{family: [1], capital_weight: 0.4, substitution: -1}",
+             f"scenario 1.technology: family must be one of {FAMILIES}, got [1]"),
+        ],
+        ids=["mixed-keys", "list-family"],
+    )
+    def test_paradox_error_row(self, tmp_path, capsys, technology, error):
+        source = tmp_path / "scenarios.yaml"
+        source.write_text(self.PARADOX.format(technology=technology), encoding="utf-8")
+        out = tmp_path / "report.csv"
+        assert main(["paradox", "--input", str(source), "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"paradox 1 probe: ERROR {source}: {error}\n" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+        (row,) = read_rows(out)
+        assert row["error"] == f"{source}: {error}"
+
+    @pytest.mark.parametrize(
+        "technology, extra, error",
+        [
+            ("{family: ces, capital_weight: 0.4, substitution: -1}", "  1: 2\n  x: 3\n",
+             "simulation has unknown keys ['x', 1]"),
+            ("{family: [1], capital_weight: 0.4, substitution: -1}", "",
+             f"simulation.technology: family must be one of {FAMILIES}, got [1]"),
+        ],
+        ids=["mixed-keys", "list-family"],
+    )
+    def test_simulate_exits_one(self, tmp_path, capsys, technology, extra, error):
+        config = tmp_path / "sim.yaml"
+        config.write_text(self.SIMULATION.format(technology=technology) + extra, encoding="utf-8")
+        code = main(["simulate", "--input", str(config), "--output", str(tmp_path / "p.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"pubtfp: {config}: {error}\n"
+        assert not (tmp_path / "p.csv").exists()

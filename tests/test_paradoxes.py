@@ -232,6 +232,36 @@ class TestScaleParadox:
             run_paradox_3(flat, UNIT_PRICES, UNIT_BUNDLE)
 
 
+class TestSweepFixedPoints:
+    """Two generated sweep scenarios whose bundle lies within the default
+    mpss_log_scale (1e-6) of its most productive scale size: ln s is -9.1e-7
+    and -5.0e-7. Paradox 3 reports them as the documented unconfirmed fixed
+    point, and confirms them once the tolerance is tightened below ln s."""
+
+    @pytest.mark.parametrize(
+        "technology, bundle, prices, log_scale",
+        [
+            ((0.5876, 1.0515, -0.1468, 1.8954), (1.9653, 0.5843), (1.5112, 1.8328), -9.1e-7),
+            ((0.3809, 1.1771, -0.1839, 1.0583), (0.8542, 2.3982), (0.7201, 0.9574), -5.0e-7),
+        ],
+        ids=["sweep-275-00220", "sweep-250-00396"],
+    )
+    def test_fixed_point_by_default_and_confirmed_when_tighter(
+        self, technology, bundle, prices, log_scale
+    ):
+        tech = HomotheticTranslog(*technology)
+        bundle, prices = InputBundle(*bundle), FactorPrices(*prices)
+        scale = pubtfp.efficiency.find_mpss(tech, bundle).scale_factor
+        assert math.log(scale) == pytest.approx(log_scale, rel=0.01)
+        fixed = run_paradox_3(tech, prices, bundle)
+        assert fixed.details == {"mpss_scale_factor": 1.0}
+        assert not fixed.paradox_confirmed
+        assert fixed.welfare_direction == WELFARE_UNCHANGED
+        moved = run_paradox_3(tech, prices, bundle, Tolerances(mpss_log_scale=1e-7))
+        assert moved.paradox_confirmed
+        assert moved.welfare_direction == WELFARE_IMPROVED
+        assert moved.measured_after < moved.measured_before
+
 class TestInputPriceParadox:
     def test_canonical_price_drop(self):
         report = run_paradox_4(CD37, UNIT_BUNDLE, UNIT_PRICES, FactorPrices(0.8, 0.9))

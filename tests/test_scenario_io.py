@@ -9,7 +9,9 @@ from pubtfp import scenario_io
 from pubtfp.errors import InvalidParameterError, ScenarioError
 from pubtfp.paradoxes import FailedScenario, Scenario, run_all
 from pubtfp.scenario_io import load_scenarios, load_simulation
-from pubtfp.technology import Ces, CobbDouglas, HomotheticTranslog, TwoLevelCes
+from pubtfp.technology import (
+    Ces, CobbDouglas, FactorPrices, HomotheticTranslog, InputBundle, TwoLevelCes,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -578,3 +580,182 @@ class TestSimulationPieceTexts:
         with pytest.raises(ScenarioError) as caught:
             load_simulation(path)
         assert str(caught.value) == f"{path}: simulation{text}"
+
+
+_FAMILY_NAMES = ["ces", "cobb-douglas", "homothetic-translog", "two-level-ces"]
+
+
+def one_entry(technology="{family: cobb-douglas, alpha_capital: 0.3, alpha_labor: 0.7}",
+              bundle="{capital: 1, labor: 1}", extra=""):
+    return f"""\
+scenarios:
+  - name: probe
+    paradox: 1
+    technology: {technology}
+    bundle: {bundle}
+    prices: {{capital_price: 1, wage: 1}}
+    shift_factor: 1.5
+{extra}"""
+
+
+def entry_error(tmp_path, text):
+    path = write(tmp_path, text)
+    (failed,) = load_scenarios(path)
+    assert isinstance(failed, FailedScenario)
+    return failed.error.removeprefix(f"{path}: scenario 1")
+
+
+class TestRecordSchemas:
+    """A record's keys are its class's fields; the fields with a default are optional."""
+
+    @pytest.mark.parametrize(
+        "technology, missing",
+        [
+            ("{family: cobb-douglas}", ["alpha_capital", "alpha_labor"]),
+            ("{family: ces, level: 2}", ["capital_weight", "substitution"]),
+            ("{family: homothetic-translog}", ["curvature", "inner_alpha_capital", "slope"]),
+            ("{family: two-level-ces, returns_to_scale: 1}",
+             ["capital_weight", "inner_substitution", "outer_substitution", "value_added_weight"]),
+        ],
+        ids=["cobb-douglas", "ces", "translog", "two-level-ces"],
+    )
+    def test_each_family_requires_its_fields_without_a_default(
+        self, tmp_path, technology, missing
+    ):
+        text = one_entry(technology=technology)
+        assert entry_error(tmp_path, text) == f".technology is missing keys {missing!r}"
+
+    @pytest.mark.parametrize(
+        "records, missing",
+        [
+            ("bundle: {}", "bundle is missing keys ['capital', 'labor']"),
+            ("bundle: {capital: 1, labor: 1}\n    prices: {intermediates_price: 1}",
+             "prices is missing keys ['capital_price', 'wage']"),
+            ("bundle: {capital: 1, labor: 1}\n    outputs: [{markup: 0.1}]",
+             "outputs[0] is missing keys ['marginal_cost', 'quantity']"),
+        ],
+        ids=["bundle", "prices", "outputs"],
+    )
+    def test_other_records_require_their_fields_without_a_default(
+        self, tmp_path, records, missing
+    ):
+        text = f"""\
+scenarios:
+  - name: probe
+    paradox: 5
+    technology: {{family: cobb-douglas, alpha_capital: 0.3, alpha_labor: 0.7}}
+    {records}
+"""
+        assert entry_error(tmp_path, text) == f".{missing}"
+
+    def test_every_optional_field_is_read(self, tmp_path):
+        text = """\
+scenarios:
+  - name: cd
+    paradox: 1
+    technology: {family: cobb-douglas, alpha_capital: 0.3, alpha_labor: 0.4, level: 2,
+                 alpha_intermediates: 0.3}
+    bundle: {capital: 1, labor: 2, intermediates: 3}
+    prices: {capital_price: 1, wage: 2, intermediates_price: 3}
+    shift_factor: 1.5
+  - name: ces
+    paradox: 1
+    technology: {family: ces, capital_weight: 0.4, substitution: -1, returns_to_scale: 0.9,
+                 level: 3}
+    bundle: {capital: 1, labor: 1}
+    shift_factor: 1.5
+  - name: translog
+    paradox: 1
+    technology: {family: homothetic-translog, inner_alpha_capital: 0.5, slope: 1.2,
+                 curvature: -0.1, level: 4}
+    bundle: {capital: 1, labor: 1}
+    shift_factor: 1.5
+  - name: nested
+    paradox: 1
+    technology: {family: two-level-ces, capital_weight: 0.4, inner_substitution: -1,
+                 value_added_weight: 0.7, outer_substitution: 0.5, returns_to_scale: 0.8,
+                 level: 5}
+    bundle: {capital: 1, labor: 1, intermediates: 1}
+    shift_factor: 1.5
+"""
+        cd, ces, translog, nested = load_scenarios(write(tmp_path, text))
+        assert cd.technology == CobbDouglas(0.3, 0.4, level=2.0, alpha_intermediates=0.3)
+        assert cd.bundle == InputBundle(1.0, 2.0, 3.0)
+        assert cd.prices == FactorPrices(1.0, 2.0, 3.0)
+        assert ces.technology == Ces(0.4, -1.0, returns_to_scale=0.9, level=3.0)
+        assert translog.technology == HomotheticTranslog(0.5, 1.2, -0.1, level=4.0)
+        assert nested.technology == TwoLevelCes(0.4, -1.0, 0.7, 0.5, 0.8, 5.0)
+
+    def test_a_doubly_bad_output_names_its_first_bad_key_in_file_order(self, tmp_path):
+        text = """\
+scenarios:
+  - name: probe
+    paradox: 5
+    technology: {family: cobb-douglas, alpha_capital: 0.3, alpha_labor: 0.4,
+                 alpha_intermediates: 0.3}
+    bundle: {capital: 1, labor: 1, intermediates: 1}
+    outputs: [{quantity: many, markup: some, marginal_cost: 2}]
+    markups_after: [0.1]
+"""
+        assert entry_error(tmp_path, text) == ".outputs[0].quantity must be a number, got 'many'"
+
+
+class TestMixedKeyTypes:
+    """Unknown keys of different types are listed, strings first, with no TypeError."""
+
+    @pytest.mark.parametrize(
+        "text, where, listed",
+        [
+            (one_entry(technology="{family: ces, capital_weight: 0.4, substitution: -1, "
+                                  "1: 2, x: 3}"),
+             ".technology", "['x', 1]"),
+            (one_entry(extra="    1: 2\n    x: 3\n"), "", "['x', 1]"),
+            (one_entry(bundle="{capital: 1, labor: 1, 2.5: 1, null: 1, b: 1, a: 1}"),
+             ".bundle", "['a', 'b', 2.5, None]"),
+            (one_entry(bundle="{capital: 1, labor: 1, 10: 1, 3: 1}"), ".bundle", "[3, 10]"),
+            (one_entry(bundle="{capital: 1, labor: 1, b: 1, A: 1, a: 1}"),
+             ".bundle", "['A', 'a', 'b']"),
+        ],
+        ids=["technology", "entry", "bundle-four-types", "ints-in-order", "strings-in-order"],
+    )
+    def test_scenario_entry(self, tmp_path, text, where, listed):
+        assert entry_error(tmp_path, text) == f"{where} has unknown keys {listed}"
+
+    def test_scenario_file(self, tmp_path):
+        path = write(tmp_path, "scenarios: []\n1: 2\nx: 3\n")
+        with pytest.raises(ScenarioError) as caught:
+            load_scenarios(path)
+        assert str(caught.value) == f"{path} has unknown keys ['x', 1]"
+
+    def test_simulation_config(self, tmp_path):
+        body = "  years: 2\n  level_growth: 0\n  bundle: {capital: 1, labor: 1}\n" \
+               "  prices: {capital_price: 1, wage: 1}\n  1: 2\n  x: 3\n"
+        path = write(tmp_path, SIM_HEADER + body)
+        with pytest.raises(ScenarioError) as caught:
+            load_simulation(path)
+        assert str(caught.value) == f"{path}: simulation has unknown keys ['x', 1]"
+
+
+class TestUnhashableFamily:
+    """A list or mapping as the family is the usual family error, not a TypeError."""
+
+    @pytest.mark.parametrize("family", ["[1]", "{a: 1}"])
+    def test_scenario_entry(self, tmp_path, family):
+        text = one_entry(technology=f"{{family: {family}, alpha_capital: 0.3, alpha_labor: 0.7}}")
+        got = yaml.safe_load(family)
+        assert entry_error(tmp_path, text) == (
+            f".technology: family must be one of {_FAMILY_NAMES!r}, got {got!r}"
+        )
+
+    @pytest.mark.parametrize("family", ["[1]", "{a: 1}"])
+    def test_simulation_config(self, tmp_path, family):
+        header = SIM_HEADER.replace("family: cobb-douglas", f"family: {family}")
+        body = "  years: 2\n  level_growth: 0\n  bundle: {capital: 1, labor: 1}\n" \
+               "  prices: {capital_price: 1, wage: 1}\n"
+        path = write(tmp_path, header + body)
+        with pytest.raises(ScenarioError) as caught:
+            load_simulation(path)
+        assert str(caught.value) == (
+            f"{path}: simulation.technology: family must be one of {_FAMILY_NAMES!r}, "
+            f"got {yaml.safe_load(family)!r}"
+        )
