@@ -74,7 +74,11 @@ def _check_keys(
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer of 309 digits or more
+        digits = len(str(abs(value)))
+        raise ScenarioError(f"{where} is too large for a float: a {digits}-digit integer") from None
 
 
 def _integer(value: Any, where: str) -> int:

@@ -742,3 +742,74 @@ simulation:
         captured = capsys.readouterr()
         assert captured.err == f"pubtfp: {config}: {error}\n"
         assert not (tmp_path / "p.csv").exists()
+
+
+NINES = "9" * 400  # an integer past the float range but within int()'s digit limit
+
+
+class TestIntegersPastTheFloatRange:
+    """An integer too large for a float is an input error naming its key, not a traceback."""
+
+    MARKUP_CUT = """\
+  - name: probe
+    paradox: 5
+    technology: {family: cobb-douglas, alpha_capital: 0.3, alpha_labor: 0.4,
+                 alpha_intermediates: 0.3}
+    bundle: {capital: 1.0, labor: 1.0, intermediates: 1.0}
+    outputs:
+      - {quantity: 3.0, marginal_cost: 1.0, markup: 0.2}
+    markups_after: [0.1]
+"""
+
+    @pytest.mark.parametrize(
+        "entry, key, digits",
+        [
+            (GOOD_P1.replace("capital: 1,", f"capital: {NINES},"), "bundle.capital", 400),
+            (GOOD_P1.replace("1.25", f"-{NINES}"), "shift_factor", 400),
+            (GOOD_P1.replace("alpha_capital: 0.3", "alpha_capital: 1" + "0" * 4299),
+             "technology.alpha_capital", 4300),
+            (MARKUP_CUT.replace("quantity: 3.0", f"quantity: {NINES}"), "outputs[0].quantity", 400),
+            (MARKUP_CUT.replace("[0.1]", f"[{NINES}]"), "markups_after[0]", 400),
+        ],
+        ids=["bundle", "shift-factor", "4300-digits", "outputs", "markups-after"],
+    )
+    def test_paradox_error_row_and_the_good_entry_still_runs(
+        self, tmp_path, capsys, entry, key, digits
+    ):
+        source = tmp_path / "scenarios.yaml"
+        good = GOOD_P1.replace("progress", "good")
+        source.write_text("scenarios:\n" + entry.replace("progress", "probe") + good, "utf-8")
+        out = tmp_path / "report.csv"
+        assert main(["paradox", "--input", str(source), "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        error = (
+            f"{source}: scenario 1.{key} is too large for a float: a {digits}-digit integer"
+        )
+        assert f"probe: ERROR {error}\n" in captured.out
+        assert "paradox 1 good: confirmed" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+        rows = {row["scenario"]: row for row in read_rows(out)}
+        assert rows["probe"]["error"] == error
+        assert rows["good"]["confirmed"] == "true"
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("capital: 1.0,", f"capital: {NINES},", "bundle.capital"),
+            ("level_growth: 0.01", f"level_growth: {NINES}", "level_growth"),
+            ("years: 26\n  level_growth: 0.01", f"levels: [1, {NINES}]", "levels[1]"),
+        ],
+        ids=["bundle", "level-growth", "levels"],
+    )
+    def test_simulate_exits_one_naming_the_file_and_key(self, tmp_path, old, new, key):
+        config = tmp_path / "sim.yaml"
+        text = SIMULATION_FILE.read_text(encoding="utf-8")
+        assert old in text
+        config.write_text(text.replace(old, new), encoding="utf-8")
+        proc = run_cli("simulate", "--input", config, "--output", tmp_path / "panel.csv")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == (
+            f"pubtfp: {config}: simulation.{key} is too large for a float: "
+            "a 400-digit integer\n"
+        )
+        assert not (tmp_path / "panel.csv").exists()

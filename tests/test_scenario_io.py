@@ -699,6 +699,28 @@ scenarios:
 """
         assert entry_error(tmp_path, text) == ".outputs[0].quantity must be a number, got 'many'"
 
+    @pytest.mark.parametrize(
+        "records, error",
+        [
+            ("bundle: {capital: 1, labor: 1}\n"
+             "    outputs: [{markup: -2.0, quantity: 0.0, marginal_cost: 1.0}]",
+             "quantity must be strictly positive, got 0.0"),
+            ("bundle: {labor: -1.0, capital: -2.0}", "capital must be nonnegative, got -2.0"),
+        ],
+        ids=["outputs", "bundle"],
+    )
+    def test_out_of_range_values_are_named_in_the_record_check_order(
+        self, tmp_path, records, error
+    ):
+        text = f"""\
+scenarios:
+  - name: probe
+    paradox: 5
+    technology: {{family: cobb-douglas, alpha_capital: 0.3, alpha_labor: 0.7}}
+    {records}
+"""
+        assert entry_error(tmp_path, text) == error
+
 
 class TestMixedKeyTypes:
     """Unknown keys of different types are listed, strings first, with no TypeError."""
