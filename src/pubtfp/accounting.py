@@ -34,6 +34,7 @@ from .errors import (
     InvalidParameterError,
     MissingBaseYearError,
     PanelSchemaError,
+    PubTfpError,
     SeriesError,
     _csv_cells,
     _not_utf8,
@@ -505,24 +506,23 @@ def simulate_sna_panel(spec: SimulationSpec) -> list[PanelObservation]:
     observations: list[PanelObservation] = []
     paths = zip(spec.levels, spec.capital, spec.labor, spec.capital_price, spec.wage)
     for year, (level, capital, labor, capital_price, wage) in enumerate(paths, spec.start_year):
-        bundle = InputBundle(capital, labor)
-        if market:
-            current = technology.with_level(level)
-            va_nominal, va_deflator = current.output(bundle), 1.0
-            mp_capital, mp_labor = current.marginal_products(bundle)
-            capital_share = mp_capital * capital / va_nominal
-            labor_share = mp_labor * labor / va_nominal
-        else:  # nominal value added is the factor bill
-            va_nominal = cost_based_value_added(FactorPrices(capital_price, wage), bundle)
-            va_deflator = level / base_level
-            capital_share = capital_price * capital / va_nominal
-            labor_share = wage * labor / va_nominal
         try:
+            bundle = InputBundle(capital, labor)
+            if market:
+                current = technology.with_level(level)
+                va_nominal, va_deflator = current.output(bundle), 1.0
+                mp_capital, mp_labor = current.marginal_products(bundle)
+                capital_share = mp_capital * capital / va_nominal
+                labor_share = mp_labor * labor / va_nominal
+            else:  # nominal value added is the factor bill
+                va_nominal = cost_based_value_added(FactorPrices(capital_price, wage), bundle)
+                va_deflator = level / base_level
+                capital_share = capital_price * capital / va_nominal
+                labor_share = wage * labor / va_nominal
             observations.append(PanelObservation(
                 year, country, industry, va_nominal, va_deflator, capital, labor, labor_share,
                 capital_share,
             ))
-        except InvalidParameterError as exc:
-            message = f"simulated row {country}/{industry} {year}: {exc}"
-            raise InvalidParameterError(message) from None
+        except (PubTfpError, ArithmeticError) as exc:  # same type, so the exit code holds
+            raise type(exc)(f"simulated row {country}/{industry} {year}: {exc}") from None
     return observations

@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import (
-    InvalidParameterError, NoConvergenceError, PubTfpError, _csv_cells, _not_utf8, _write_csv,
-)
+from .errors import NoConvergenceError, PubTfpError, _csv_cells, _not_utf8, _write_csv
 
 if TYPE_CHECKING:
     from .accounting import TfpIndexSeries
@@ -78,12 +77,22 @@ REPORT_COLUMNS = (
     "error",
 )
 PLOT_COLUMNS = ("year", "series", "value")
-# The cells a verdict row (one without an error) must hold, and how to say so;
-# the paradox ids are paradoxes.PARADOX_IDS, spelt out as ``report`` loads no solver
+# The cells a verdict row (one without an error) must hold, and how to say so, in
+# the order they are checked; the ids, conventions and welfare directions are
+# paradoxes.PARADOX_IDS, measurement.CONVENTIONS and the paradoxes.WELFARE_*
+# values, spelt out as ``report`` loads no solver
 _VERDICT_CELLS = {
     "paradox_id": (frozenset({"1", "2", "3", "4", "5"}), "1-5"),
     "confirmed": (frozenset({"true", "false"}), "true or false"),
+    "convention": (
+        frozenset({"CostBasedVA", "CostWeightedIndex", "DistortedRevenue"}),
+        "CostBasedVA, CostWeightedIndex or DistortedRevenue",
+    ),
+    "welfare_direction": (
+        frozenset({"improved", "unchanged-productivity"}), "improved or unchanged-productivity"
+    ),
 }
+_VERDICT_NUMBERS = ("measured_before", "measured_after", "true_before", "true_after")
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -249,8 +258,8 @@ def _run_simulate(args: argparse.Namespace) -> int:
     spec = load_simulation(args.input)
     try:
         observations = simulate_sna_panel(spec)
-    except InvalidParameterError as exc:
-        raise InvalidParameterError(f"{exc} (simulation config {args.input})") from None
+    except (PubTfpError, ArithmeticError) as exc:  # same type, so the exit code holds
+        raise type(exc)(f"{exc} (simulation config {args.input})") from None
     write_panel(observations, args.output)
     print(
         f"wrote {len(observations)} panel rows ({spec.convention}, "
@@ -262,6 +271,28 @@ def _run_simulate(args: argparse.Namespace) -> int:
 def _not_a_report(path: Path, problem: str) -> int:
     print(f"{path} is not a paradox report: {problem}", file=sys.stderr)
     return EXIT_INPUT_ERROR
+
+
+def _verdict_problem(row: dict[str, str]) -> str | None:
+    """Why a verdict row is not well-formed, or None when it is."""
+    for column, (allowed, wording) in _VERDICT_CELLS.items():
+        if row[column] not in allowed:
+            return f"{column} must be {wording}, got {row[column]!r}"
+    for column in _VERDICT_NUMBERS:
+        try:
+            number = float(row[column])
+        except ValueError:
+            number = math.nan
+        if not 0.0 < number < math.inf:  # nan fails too
+            return f"{column} must be a finite positive number, got {row[column]!r}"
+    fell = float(row["measured_after"]) < float(row["measured_before"])
+    confirmed = "true" if fell else "false"
+    if row["confirmed"] != confirmed:
+        return (
+            f"confirmed must be {confirmed} for measured TFP {row['measured_before']} -> "
+            f"{row['measured_after']}, got {row['confirmed']!r}"
+        )
+    return None
 
 
 def _run_report(args: argparse.Namespace) -> int:
@@ -285,10 +316,9 @@ def _run_report(args: argparse.Namespace) -> int:
     if short is not None:
         return _not_a_report(args.input, f"row {short} is missing fields")
     for line, row in enumerate(rows, start=2):
-        for column, (allowed, wording) in _VERDICT_CELLS.items():
-            if not row["error"] and row[column] not in allowed:
-                problem = f"row {line}: {column} must be {wording}, got {row[column]!r}"
-                return _not_a_report(args.input, problem)
+        problem = None if row["error"] else _verdict_problem(row)
+        if problem:
+            return _not_a_report(args.input, f"row {line}: {problem}")
     verdicts = []
     for row in rows:
         name, paradox_id = row["scenario"], row["paradox_id"]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NoConvergenceError, NoInteriorMpssError
+from .errors import DomainError, InvalidParameterError, NoConvergenceError, NoInteriorMpssError
 from .measurement import cost_based_value_added
 from .technology import (
     Ces,
@@ -35,9 +35,10 @@ __all__ = [
     "apply_technical_progress",
 ]
 
-# representable ranges, in log space
+# representable ranges
 _LOG_RATIO_BRACKET = 40.0  # cost-minimizing ln(K/L) must lie in [-40, 40]
-_LOG_SCALE_BRACKET = 20.0  # an interior ln(scale) must lie in (-20, 20)
+_LOG_SCALE_BRACKET = 20.0  # ln(scale) of the two elasticities a missing MPSS is worded by
+_NORMAL_MIN = 2.0**-1022  # smallest normal float: the MPSS bundle and output keep full precision
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,28 +183,31 @@ def allocative_gap(tech: Technology, prices: FactorPrices, bundle: InputBundle) 
 def find_mpss(tech: Technology, ray_bundle: InputBundle) -> MpssResult:
     """Most productive scale size along the ray through ``ray_bundle``.
 
-    Maximizes output per unit of scale over scales in [e^-20, e^20]. The
-    optimum is interior only when the scale elasticity crosses 1 from
-    above along the ray, which rules out every constant-elasticity family;
-    those raise :class:`NoInteriorMpssError`. A translog with curvature < 0
-    is the only solvable family left, and its optimum is a closed form.
+    The optimum is interior only when the scale elasticity crosses 1 from
+    above, which rules out every constant-elasticity family (they raise
+    :class:`NoInteriorMpssError`). A translog with curvature < 0 has elasticity
+    slope + 2*curvature*(u0 + ln s), equal to 1 at one ln s; a :class:`DomainError`
+    names that ln s when the bundle or output there is not a normal float.
     """
     if ray_bundle.capital <= 0.0 or ray_bundle.labor <= 0.0:
         raise DomainError("scale search requires strictly positive capital and labor")
-    eps_lo = tech.scale_elasticity(ray_bundle.scaled(math.exp(-_LOG_SCALE_BRACKET)))
-    eps_hi = tech.scale_elasticity(ray_bundle.scaled(math.exp(_LOG_SCALE_BRACKET)))
-    if not (eps_lo > 1.0 > eps_hi):
+    if not (isinstance(tech, HomotheticTranslog) and tech.curvature < 0.0):
+        eps_lo = tech.scale_elasticity(ray_bundle.scaled(math.exp(-_LOG_SCALE_BRACKET)))
+        eps_hi = tech.scale_elasticity(ray_bundle.scaled(math.exp(_LOG_SCALE_BRACKET)))
         raise NoInteriorMpssError(
             "no interior most-productive scale: scale elasticity does not cross 1 "
             f"along this ray (elasticity {eps_lo!r} at the lower bracket, "
             f"{eps_hi!r} at the upper)"
         )
-    # the bracket check admits only a translog with curvature < 0, whose
-    # elasticity slope + 2*curvature*(u0 + x) equals 1 at a single x
     x_star = (1.0 - tech.slope) / (2.0 * tech.curvature) - tech._log_core_index(ray_bundle)
-    scale_factor = math.exp(x_star)
-    scaled = ray_bundle.scaled(scale_factor)
-    output = tech.output(scaled)
+    try:
+        scale_factor = math.exp(x_star)
+        scaled = ray_bundle.scaled(scale_factor)
+        output = tech.output(scaled) if min(scaled.capital, scaled.labor) >= _NORMAL_MIN else 0.0
+    except (OverflowError, InvalidParameterError):  # e^x* or an input left the float range
+        output = 0.0
+    if not _NORMAL_MIN <= output < math.inf:
+        raise DomainError(f"most productive scale size is out of float range: ln scale {x_star!r}")
     return MpssResult(
         scale_factor=scale_factor,
         bundle_at_mpss=scaled,

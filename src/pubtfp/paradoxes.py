@@ -80,15 +80,12 @@ class Tolerances:
 
     ``allocative_efficiency``: a bundle whose allocative gap is within this
     distance of 1 counts as already cost-minimizing.
-    ``mpss_log_scale``: a rescaling within this distance of 1 in logs
-    counts as already at the best scale.
     ``identity_check``: relative tolerance on the internal identities the
     runners recompute as self-checks (isoquant preservation, the ray
     average product ratio).
     """
 
     allocative_efficiency: float = 1e-9
-    mpss_log_scale: float = 1e-6
     identity_check: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -270,12 +267,13 @@ def run_paradox_3(
 ) -> ParadoxReport:
     """Scale improvement: move along the ray to the most productive scale size.
 
-    A bundle already at that scale is reported as an unconfirmed fixed
-    point (scale factor 1, measurement unchanged) rather than an error.
+    Measured after/before is exp(curvature * ln(s)^2), so a move whose gain is
+    within 64 ulps (64 * 2^-52), too small for the checks below to resolve, is
+    an unconfirmed fixed point (scale factor 1, measurement unchanged).
     """
-    mpss = find_mpss(tech, bundle)
+    mpss = find_mpss(tech, bundle)  # raises unless tech is a translog with curvature < 0
     before = _measure(EconomyState(tech, bundle, prices=prices))
-    if abs(math.log(mpss.scale_factor)) <= tolerances.mpss_log_scale:
+    if -tech.curvature * math.log(mpss.scale_factor) ** 2 <= 64 * 2.0**-52:
         return _compare(3, before, before, WELFARE_UNCHANGED, {"mpss_scale_factor": 1.0})
 
     after = _measure(EconomyState(tech, mpss.bundle_at_mpss, prices=prices))

@@ -100,7 +100,7 @@ scenarios:
         assert rows[0]["error"] != ""
         capsys.readouterr()
 
-    def test_tolerance_override_changes_the_verdict(self, tmp_path, capsys):
+    def test_scale_fixed_point_tolerance_is_an_unknown_name(self, tmp_path, capsys):
         near_peak = math.e * 1.2
         text = f"""\
 scenarios:
@@ -117,14 +117,15 @@ scenarios:
         assert main(["paradox", "--input", str(scenario_file), "--output", str(out)]) == 0
         assert read_rows(out)[0]["confirmed"] == "true"
 
+        capsys.readouterr()
+        # paradox 3's fixed point is derived from the curvature; the old knob is no guard
         assert main([
             "paradox", "--input", str(scenario_file), "--output", str(out),
             "--tolerance", "mpss_log_scale=0.5",
-        ]) == 0
-        row = read_rows(out)[0]
-        assert row["confirmed"] == "false"
-        assert row["welfare_direction"] == "unchanged-productivity"
-        capsys.readouterr()
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "pubtfp: unknown tolerance names: ['mpss_log_scale']\n"
+        assert "Traceback" not in captured.out + captured.err
 
     def test_unknown_tolerance_name_is_an_input_error(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -554,7 +555,9 @@ class TestValuesPastTheIntegerDigitLimit:
 
 
 class TestReportVerdictRows:
-    """A row without an error must carry a paradox id 1-5 and confirmed true or false."""
+    """A row without an error must carry a paradox id 1-5, confirmed true or false, a
+    known convention and welfare direction, four finite positive numbers, and a
+    confirmed cell that says whether measured TFP fell."""
 
     @pytest.mark.parametrize(
         "row, problem",
@@ -580,6 +583,69 @@ class TestReportVerdictRows:
         from pubtfp.paradoxes import PARADOX_IDS
 
         assert cli._VERDICT_CELLS["paradox_id"][0] == {str(i) for i in PARADOX_IDS}
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            (
+                "x,1,Bogus,abc,2.0,,,true,whatever,",
+                "convention must be CostBasedVA, CostWeightedIndex or DistortedRevenue, "
+                "got 'Bogus'",
+            ),
+            (
+                "x,1,CostBasedVA,2.0,1.0,1.0,1.0,true,better,",
+                "welfare_direction must be improved or unchanged-productivity, got 'better'",
+            ),
+            (
+                "x,1,CostBasedVA,abc,1.0,1.0,1.0,true,improved,",
+                "measured_before must be a finite positive number, got 'abc'",
+            ),
+            (
+                "x,1,CostBasedVA,2.0,1.0,1.0,nan,true,improved,",
+                "true_after must be a finite positive number, got 'nan'",
+            ),
+            (
+                "x,1,CostBasedVA,2.0,1e400,1.0,1.0,false,improved,",
+                "measured_after must be a finite positive number, got '1e400'",
+            ),
+            (
+                "x,1,CostBasedVA,2.0,1.0,0.0,1.0,true,improved,",
+                "true_before must be a finite positive number, got '0.0'",
+            ),
+            (
+                "x,1,CostBasedVA,1.0,2.0,1.0,1.0,true,improved,",
+                "confirmed must be false for measured TFP 1.0 -> 2.0, got 'true'",
+            ),
+            (
+                "x,4,CostBasedVA,2.0,1.0,1.0,1.0,false,unchanged-productivity,",
+                "confirmed must be true for measured TFP 2.0 -> 1.0, got 'false'",
+            ),
+            (
+                "x,3,CostBasedVA,2.0,2.0,1.0,1.0,true,unchanged-productivity,",
+                "confirmed must be false for measured TFP 2.0 -> 2.0, got 'true'",
+            ),
+        ],
+        ids=[
+            "bogus-convention", "bogus-welfare", "number-abc", "number-nan", "number-inf",
+            "number-zero", "rise-confirmed", "fall-unconfirmed", "flat-confirmed",
+        ],
+    )
+    def test_verdict_row_must_be_consistent(self, tmp_path, capsys, row, problem):
+        report = tmp_path / "report.csv"
+        report.write_text(f"{','.join(REPORT_COLUMNS)}\n{row}\n", encoding="utf-8")
+        assert main(["report", "--input", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{report} is not a paradox report: row 2: {problem}\n"
+
+    def test_conventions_and_welfare_directions_match_the_library(self):
+        from pubtfp import cli
+        from pubtfp.measurement import CONVENTIONS
+        from pubtfp.paradoxes import WELFARE_IMPROVED, WELFARE_UNCHANGED
+
+        assert cli._VERDICT_CELLS["convention"][0] == set(CONVENTIONS)
+        welfare = cli._VERDICT_CELLS["welfare_direction"][0]
+        assert welfare == {WELFARE_IMPROVED, WELFARE_UNCHANGED}
 
     def test_error_rows_may_carry_paradox_id_zero(self, tmp_path, capsys):
         report = tmp_path / "report.csv"
@@ -677,6 +743,52 @@ simulation:
             f"got inf (simulation config {config})\n"
         )
         assert not (tmp_path / "panel.csv").exists()
+
+
+class TestEverySimulatedRowFailureNamesItsRow:
+    """Any failure while simulating one year, not only a rejected panel row, names
+    the series, the year and the config file; its exit code is unchanged."""
+
+    @pytest.mark.parametrize(
+        "technology, capital, code, problem",
+        [
+            (
+                "{family: ces, capital_weight: 0.4, substitution: -1.0}", "1.0e-320", 2,
+                "internal error: simulated row SIM/public 1996: "
+                "(34, 'Numerical result out of range')",
+            ),
+            (
+                "{family: homothetic-translog, inner_alpha_capital: 0.5, slope: 1.0, "
+                "curvature: -0.1}", "1.0e+200", 1,
+                "simulated row SIM/public 1996: bundle lies beyond the monotone region of the "
+                "translog (scale elasticity -45.05170185988092 at log core index "
+                "230.25850929940458)",
+            ),
+        ],
+        ids=["ces-subnormal-capital-overflows", "translog-beyond-the-monotone-region"],
+    )
+    def test_market_row_failure_names_series_year_and_config(
+        self, tmp_path, capsys, technology, capital, code, problem
+    ):
+        config = tmp_path / "sim.yaml"
+        config.write_text(
+            f"""\
+simulation:
+  convention: market
+  start_year: 1995
+  level_growth: 0.0
+  technology: {technology}
+  capital: [1.0, {capital}, 1.0]
+  labor: [1.0, 1.0, 1.0]
+  prices: {{capital_price: 1.0, wage: 1.0}}
+""",
+            encoding="utf-8",
+        )
+        out = tmp_path / "p.csv"
+        assert main(["simulate", "--input", str(config), "--output", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"pubtfp: {problem} (simulation config {config})\n"
+        assert not out.exists()
 
 
 class TestOddKeysAndFamilies:

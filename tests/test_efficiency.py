@@ -24,6 +24,7 @@ from pubtfp.technology import (
 )
 
 UNIT_PRICES = FactorPrices(1.0, 1.0)
+UNIT_BUNDLE = InputBundle(1.0, 1.0)
 
 # Parameter draws for the closed-form property tests. With 1 - rho >= 0.2
 # and prices within a factor of 100 of each other, the cost-minimizing
@@ -284,6 +285,43 @@ class TestFindMpss:
     def test_requires_interior_ray_bundle(self):
         with pytest.raises(DomainError):
             find_mpss(self.tech, InputBundle(0.0, 1.0))
+
+    def test_missing_optimum_is_worded_by_the_elasticities_at_e_to_the_20(self):
+        with pytest.raises(NoInteriorMpssError) as info:
+            find_mpss(Ces(capital_weight=0.4, substitution=-1.0, returns_to_scale=0.9), UNIT_BUNDLE)
+        assert str(info.value) == (
+            "no interior most-productive scale: scale elasticity does not cross 1 along this "
+            "ray (elasticity 0.9 at the lower bracket, 0.9 at the upper)"
+        )
+
+    def test_optimum_far_beyond_e_to_the_20_is_found(self):
+        # x* = (1 - 1.2)/(2 * -0.004) = 25: the elasticity is 1.36 at e^-20 and 1.04 at e^20
+        tech = HomotheticTranslog(inner_alpha_capital=0.5, slope=1.2, curvature=-0.004)
+        result = find_mpss(tech, UNIT_BUNDLE)
+        assert math.log(result.scale_factor) == pytest.approx(25.0, rel=1e-12)
+        assert result.scale_elasticity == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "tech, bundle, log_scale",
+        [
+            (HomotheticTranslog(0.5, 1.2, -0.0001), UNIT_BUNDLE, 999.9999999999998),
+            (HomotheticTranslog(0.5, 1.2, -0.00015), UNIT_BUNDLE, 666.6666666666666),
+            (HomotheticTranslog(0.5, 0.4, -0.005), InputBundle(1e300, 1e300), -750.7755278982137),
+            (HomotheticTranslog(0.5, 1.2, -0.004), InputBundle(1e300, 1e-300), 24.999999999999993),
+            (HomotheticTranslog(0.5, 0.4, -0.01), InputBundle(1e-300, 1e300), -30.0),
+            (HomotheticTranslog(0.5, 1.2, -0.1, level=1e-310), UNIT_BUNDLE, 0.9999999999999998),
+        ],
+        ids=[
+            "scale-overflows", "output-overflows", "scale-underflows", "capital-overflows",
+            "capital-subnormal", "output-subnormal",
+        ],
+    )
+    def test_optimum_outside_the_normal_floats_is_an_input_error(self, tech, bundle, log_scale):
+        with pytest.raises(DomainError) as info:
+            find_mpss(tech, bundle)
+        assert str(info.value) == (
+            f"most productive scale size is out of float range: ln scale {log_scale!r}"
+        )
 
 
 class TestApplyTechnicalProgress:

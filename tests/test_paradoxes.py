@@ -233,10 +233,10 @@ class TestScaleParadox:
 
 
 class TestSweepFixedPoints:
-    """Two generated sweep scenarios whose bundle lies within the default
-    mpss_log_scale (1e-6) of its most productive scale size: ln s is -9.1e-7
-    and -5.0e-7. Paradox 3 reports them as the documented unconfirmed fixed
-    point, and confirms them once the tolerance is tightened below ln s."""
+    """Generated sweep scenarios whose bundle lies within ~1e-6 of its most
+    productive scale size in logs. Measured after/before is exp(c * ln(s)^2),
+    and paradox 3 calls the move a fixed point only when that gain,
+    -c * ln(s)^2, is within 64 ulps (64 * 2^-52 = 1.4e-14)."""
 
     @pytest.mark.parametrize(
         "technology, bundle, prices, log_scale",
@@ -246,21 +246,31 @@ class TestSweepFixedPoints:
         ],
         ids=["sweep-275-00220", "sweep-250-00396"],
     )
-    def test_fixed_point_by_default_and_confirmed_when_tighter(
-        self, technology, bundle, prices, log_scale
-    ):
+    def test_resolvable_gain_is_confirmed(self, technology, bundle, prices, log_scale):
         tech = HomotheticTranslog(*technology)
         bundle, prices = InputBundle(*bundle), FactorPrices(*prices)
-        scale = pubtfp.efficiency.find_mpss(tech, bundle).scale_factor
-        assert math.log(scale) == pytest.approx(log_scale, rel=0.01)
+        x = math.log(pubtfp.efficiency.find_mpss(tech, bundle).scale_factor)
+        assert x == pytest.approx(log_scale, rel=0.01)
+        assert -tech.curvature * x * x > 64 * 2.0**-52
+        moved = run_paradox_3(tech, prices, bundle)
+        assert moved.paradox_confirmed
+        assert moved.welfare_direction == WELFARE_IMPROVED
+        assert moved.measured_after < moved.measured_before
+        ratio = moved.measured_after / moved.measured_before
+        assert math.log(ratio) == pytest.approx(tech.curvature * x * x, rel=0.01)
+
+    def test_gain_within_64_ulps_is_the_fixed_point(self):
+        # sweep-297-00124 (seed 37): ln s = -1.04e-7, gain 1.2e-15, about 5.5 ulps
+        tech = HomotheticTranslog(0.6381, 1.1025, -0.1133, 1.2444)
+        bundle, prices = InputBundle(1.4876, 1.7326), FactorPrices(1.5502, 1.3202)
+        x = math.log(pubtfp.efficiency.find_mpss(tech, bundle).scale_factor)
+        assert x == pytest.approx(-1.04e-7, rel=0.01)
+        assert -tech.curvature * x * x <= 64 * 2.0**-52
         fixed = run_paradox_3(tech, prices, bundle)
         assert fixed.details == {"mpss_scale_factor": 1.0}
         assert not fixed.paradox_confirmed
         assert fixed.welfare_direction == WELFARE_UNCHANGED
-        moved = run_paradox_3(tech, prices, bundle, Tolerances(mpss_log_scale=1e-7))
-        assert moved.paradox_confirmed
-        assert moved.welfare_direction == WELFARE_IMPROVED
-        assert moved.measured_after < moved.measured_before
+
 
 class TestInputPriceParadox:
     def test_canonical_price_drop(self):
@@ -338,17 +348,16 @@ class TestTolerances:
     def test_defaults(self):
         t = Tolerances()
         assert t.allocative_efficiency == 1e-9
-        assert t.mpss_log_scale == 1e-6
         assert t.identity_check == 1e-9
 
     @pytest.mark.parametrize("value", [0.0, -1e-9, 1.0, 2.0, float("nan")])
     def test_must_lie_strictly_inside_the_unit_interval(self, value):
         with pytest.raises(InvalidParameterError):
-            Tolerances(mpss_log_scale=value)
+            Tolerances(identity_check=value)
 
     def test_replaced_merges_overrides(self):
-        t = Tolerances().replaced({"mpss_log_scale": 0.5})
-        assert t.mpss_log_scale == 0.5
+        t = Tolerances().replaced({"allocative_efficiency": 0.5})
+        assert t.allocative_efficiency == 0.5
         assert t.identity_check == 1e-9
 
     def test_replaced_rejects_unknown_names(self):
@@ -366,15 +375,13 @@ class TestTolerances:
         assert type(t.allocative_efficiency) is float and t.allocative_efficiency == 1e-9
         assert type(t.identity_check) is float and t.identity_check == 1e-9
 
-    def test_wide_scale_tolerance_turns_a_move_into_a_fixed_point(self):
+    def test_the_scale_fixed_point_has_no_tolerance(self):
+        # paradox 3 derives its fixed point from the curvature; mpss_log_scale is gone
+        with pytest.raises(InvalidParameterError) as info:
+            Tolerances().replaced({"mpss_log_scale": 0.5})
+        assert str(info.value) == "unknown tolerance names: ['mpss_log_scale']"
         near_peak = InputBundle(math.e * 1.2, math.e * 1.2)
-        strict = run_paradox_3(TRANSLOG, UNIT_PRICES, near_peak)
-        assert strict.paradox_confirmed
-        loose = run_paradox_3(
-            TRANSLOG, UNIT_PRICES, near_peak, Tolerances(mpss_log_scale=0.5)
-        )
-        assert not loose.paradox_confirmed
-        assert loose.details == {"mpss_scale_factor": 1.0}
+        assert run_paradox_3(TRANSLOG, UNIT_PRICES, near_peak).paradox_confirmed
 
 
 class TestScenarioValidation:

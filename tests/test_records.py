@@ -217,7 +217,7 @@ CHECKS.update({
         lambda v: _share("capital_share", "labor_share", v), "capital_share", "share"
     ),
 })
-for name in ("allocative_efficiency", "mpss_log_scale", "identity_check"):
+for name in ("allocative_efficiency", "identity_check"):
     CHECKS[f"Tolerances.{name}"] = (
         lambda v, name=name: getattr(Tolerances(**{name: v}), name), name, "tolerance"
     )
@@ -409,7 +409,7 @@ CHECK_ORDERS = {
         dict(value=1.0, convention="CostBasedVA", numerator=1.0, denominator=1.0),
         ("numerator", "denominator", "value"),
     ),
-    Tolerances: (dict(allocative_efficiency=0.5, mpss_log_scale=0.5, identity_check=0.5), None),
+    Tolerances: (dict(allocative_efficiency=0.5, identity_check=0.5), None),
     PanelObservation: (
         dict(year=2000, country="X", industry="Y", va_nominal=1.0, va_deflator=1.0,
              capital_services=1.0, labor_input=1.0, labor_share=0.5, capital_share=0.5),
