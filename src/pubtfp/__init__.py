@@ -35,9 +35,9 @@ _EXPORTS = {
         "measured_tfp_revenue",
     ),
     "paradoxes": (
-        "Tolerances", "EconomyState", "Scenario", "FailedScenario", "ParadoxReport",
-        "ScenarioOutcome", "run_paradox_1", "run_paradox_2", "run_paradox_3", "run_paradox_4",
-        "run_paradox_5", "run_scenario", "run_all",
+        "EconomyState", "Scenario", "FailedScenario", "ParadoxReport", "ScenarioOutcome",
+        "run_paradox_1", "run_paradox_2", "run_paradox_3", "run_paradox_4", "run_paradox_5",
+        "run_scenario", "run_all",
     ),
     "accounting": (
         "PanelObservation", "TfpIndexSeries", "SimulationSpec", "deflate", "tornqvist_tfp_growth",

@@ -284,7 +284,8 @@ def build_index(observations: Iterable[PanelObservation], base_year: int) -> Tfp
     years = tuple(row.year for row in rows)
     if base_year not in years:
         raise MissingBaseYearError(
-            f"base year {base_year} is outside the series range {years[0]}..{years[-1]}"
+            f"base year {base_year} is outside the series range {years[0]}..{years[-1]} "
+            f"in {rows[0].key!r}"
         )
     # the checks above are the ones tornqvist_tfp_growth makes per pair
     points = list(map(_log_point, rows))
@@ -313,11 +314,25 @@ def build_index(observations: Iterable[PanelObservation], base_year: int) -> Tfp
 def build_indices(
     observations: Iterable[PanelObservation], base_year: int
 ) -> dict[tuple[str, str], TfpIndexSeries]:
-    """One index per (country, industry) series found in the observations."""
+    """One index per (country, industry) series found in the observations.
+
+    Every series is built; when more than one fails, a single
+    :class:`SeriesError` lists their problems in key order.
+    """
     groups: dict[tuple[str, str], list[PanelObservation]] = {}
     for row in observations:
         groups.setdefault(row.key, []).append(row)
-    return {key: build_index(rows, base_year) for key, rows in sorted(groups.items())}
+    indices, problems = {}, []
+    for key, rows in sorted(groups.items()):
+        try:
+            indices[key] = build_index(rows, base_year)
+        except SeriesError as exc:
+            problems.append(exc)
+    if len(problems) == 1:
+        raise problems[0]
+    if problems:
+        raise SeriesError(f"{len(problems)} series failed: " + "; ".join(map(str, problems)))
+    return indices
 
 
 def _non_number(raw_numbers: Iterable[str]) -> str:
@@ -512,6 +527,8 @@ def simulate_sna_panel(spec: SimulationSpec) -> list[PanelObservation]:
                 current = technology.with_level(level)
                 va_nominal, va_deflator = current.output(bundle), 1.0
                 mp_capital, mp_labor = current.marginal_products(bundle)
+                if va_nominal == 0.0:  # underflowed; the shares divide by it
+                    raise InvalidParameterError("va_nominal must be strictly positive, got 0.0")
                 capital_share = mp_capital * capital / va_nominal
                 labor_share = mp_labor * labor / va_nominal
             else:  # nominal value added is the factor bill

@@ -26,7 +26,7 @@ from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import NoConvergenceError, PubTfpError, _csv_cells, _not_utf8, _write_csv
+from .errors import NoConvergenceError, PubTfpError, SeriesError, _csv_cells, _not_utf8, _write_csv
 
 if TYPE_CHECKING:
     from .accounting import TfpIndexSeries
@@ -42,7 +42,7 @@ _DEFERRED = {
     "accounting": (
         "build_indices", "ingest_panel", "simulate_sna_panel", "write_indices", "write_panel",
     ),
-    "paradoxes": ("Tolerances", "run_all"),
+    "paradoxes": ("run_all",),
     "scenario_io": ("load_scenarios", "load_simulation"),
 }
 _DEFERRED_HOME = {name: module for module, names in _DEFERRED.items() for name in names}
@@ -107,18 +107,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _tolerance_pair(text: str) -> tuple[str, float]:
-    name, sep, raw = text.partition("=")
-    if not sep or not name:
-        raise argparse.ArgumentTypeError(
-            f"expected name=value, got {text!r} (example: allocative_efficiency=1e-6)"
-        )
-    try:
-        return name, float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"tolerance value {raw!r} is not a number") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pubtfp",
@@ -129,14 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     paradox = commands.add_parser("paradox", help="run paradox scenarios from a YAML file")
     paradox.add_argument("--input", required=True, type=Path, help="scenario YAML file")
     paradox.add_argument("--output", required=True, type=Path, help="report CSV to write")
-    paradox.add_argument(
-        "--tolerance",
-        action="append",
-        type=_tolerance_pair,
-        default=[],
-        metavar="NAME=VALUE",
-        help="override a numerical guard (repeatable)",
-    )
 
     accounting = commands.add_parser(
         "accounting", help="build TFP index series from a panel CSV"
@@ -195,7 +175,7 @@ def _tally(verdicts: list[str]) -> str:
 def _run_paradox(args: argparse.Namespace) -> int:
     _bind("scenario_io", "paradoxes")
     scenarios = load_scenarios(args.input)
-    outcomes = run_all(scenarios, Tolerances().replaced(dict(args.tolerance)))
+    outcomes = run_all(scenarios)
     _write_report(outcomes, args.output)
 
     verdicts = []
@@ -241,7 +221,10 @@ def _run_accounting(args: argparse.Namespace) -> int:
     _configure_logging()
     _bind("accounting")
     observations = ingest_panel(args.input)
-    indices = build_indices(observations, args.base_year)
+    try:
+        indices = build_indices(observations, args.base_year)
+    except SeriesError as exc:  # same type, so a MissingBaseYearError stays one
+        raise type(exc)(f"{exc} (panel {args.input})") from None
     write_indices(indices.values(), args.output)
     plot_path = args.plot_output or _default_plot_path(args.output)
     _write_plot(indices.values(), plot_path)

@@ -19,14 +19,15 @@ paradox: measured TFP fell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from os import PathLike
-from typing import Callable, Iterable, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .efficiency import _check_gap_domain, apply_technical_progress, find_mpss, min_cost_bundle
 from .efficiency import allocative_gap  # unused here; perfbench's tracer patches it on this module
 from .errors import (
     AlreadyEfficientError,
+    DomainError,
     InvalidParameterError,
     MarkupNotReducedError,
     NoConvergenceError,
@@ -53,7 +54,6 @@ __all__ = [
     "PARADOX_IDS",
     "WELFARE_IMPROVED",
     "WELFARE_UNCHANGED",
-    "Tolerances",
     "EconomyState",
     "Scenario",
     "FailedScenario",
@@ -74,32 +74,10 @@ WELFARE_IMPROVED = "improved"
 WELFARE_UNCHANGED = "unchanged-productivity"
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical guards used by the paradox runners.
-
-    ``allocative_efficiency``: a bundle whose allocative gap is within this
-    distance of 1 counts as already cost-minimizing.
-    ``identity_check``: relative tolerance on the internal identities the
-    runners recompute as self-checks (isoquant preservation, the ray
-    average product ratio).
-    """
-
-    allocative_efficiency: float = 1e-9
-    identity_check: float = 1e-9
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = float(getattr(self, f.name))
-            if not 0.0 < value < 1.0:  # nan fails too
-                raise InvalidParameterError(f"tolerance {f.name} must lie in (0, 1), got {value!r}")
-            object.__setattr__(self, f.name, value)
-
-    def replaced(self, overrides: Mapping[str, float]) -> "Tolerances":
-        unknown = set(overrides) - {f.name for f in fields(self)}
-        if unknown:
-            raise InvalidParameterError(f"unknown tolerance names: {sorted(unknown)!r}")
-        return replace(self, **overrides)
+# a bundle whose allocative gap is within this of 1 is already cost-minimizing
+_ALREADY_EFFICIENT = 1e-9
+# the relative tolerance of the isoquant and ray-average-product self-checks
+_IDENTITY_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,19 +214,18 @@ def run_paradox_2(
     tech: Technology,
     prices: FactorPrices,
     initial_bundle: InputBundle,
-    tolerances: Tolerances = Tolerances(),
 ) -> ParadoxReport:
     """Allocative improvement: same output from the cost-minimizing mix, found by one solve."""
     _check_gap_domain(tech, initial_bundle)
     target = tech.output(initial_bundle)
     best = min_cost_bundle(tech, prices, target)
     gap = min(best.cost / cost_based_value_added(prices, initial_bundle), 1.0)
-    if gap >= 1.0 - tolerances.allocative_efficiency:
+    if gap >= 1.0 - _ALREADY_EFFICIENT:
         raise AlreadyEfficientError(
             f"bundle is already cost-minimizing at these prices (allocative gap {gap!r})"
         )
     reached = tech.output(best.bundle)
-    if not math.isclose(reached, target, rel_tol=tolerances.identity_check, abs_tol=0.0):
+    if not math.isclose(reached, target, rel_tol=_IDENTITY_REL_TOL, abs_tol=0.0):
         raise NoConvergenceError(
             f"cost minimizer left the isoquant: output {reached!r} for target {target!r}"
         )
@@ -263,7 +240,6 @@ def run_paradox_3(
     tech: Technology,
     prices: FactorPrices,
     bundle: InputBundle,
-    tolerances: Tolerances = Tolerances(),
 ) -> ParadoxReport:
     """Scale improvement: move along the ray to the most productive scale size.
 
@@ -276,6 +252,12 @@ def run_paradox_3(
     if -tech.curvature * math.log(mpss.scale_factor) ** 2 <= 64 * 2.0**-52:
         return _compare(3, before, before, WELFARE_UNCHANGED, {"mpss_scale_factor": 1.0})
 
+    bill = cost_based_value_added(prices, mpss.bundle_at_mpss)
+    if not 0.0 < bill < math.inf:
+        raise DomainError(
+            "most productive scale size is out of float range: "
+            f"ln scale {math.log(mpss.scale_factor)!r} (factor bill {bill!r})"
+        )
     after = _measure(EconomyState(tech, mpss.bundle_at_mpss, prices=prices))
 
     # the proofs' intermediate inequality: when scaling up, output grows more
@@ -292,9 +274,7 @@ def run_paradox_3(
     # the ray average product ratio
     measured_ratio = after.tfp.value / before.tfp.value
     predicted_ratio = rap_before / mpss.ray_average_product
-    if not math.isclose(
-        measured_ratio, predicted_ratio, rel_tol=tolerances.identity_check, abs_tol=0.0
-    ):
+    if not math.isclose(measured_ratio, predicted_ratio, rel_tol=_IDENTITY_REL_TOL, abs_tol=0.0):
         raise NoConvergenceError(
             f"scale run failed its identity check: measured ratio {measured_ratio!r} "
             f"vs ray average product ratio {predicted_ratio!r}"
@@ -367,20 +347,20 @@ def run_paradox_5(
 # paradox id -> (scenario fields it requires, call into its runner). The
 # adapters look each runner up by name when called, so a wrapper installed
 # at the module attribute sees every call.
-_RUNNERS: dict[int, tuple[frozenset[str], Callable[[Scenario, Tolerances], ParadoxReport]]] = {
+_RUNNERS: dict[int, tuple[frozenset[str], Callable[[Scenario], ParadoxReport]]] = {
     1: (
         frozenset({"prices", "shift"}),
-        lambda s, tol: run_paradox_1(s.technology, s.bundle, s.prices, s.shift),
+        lambda s: run_paradox_1(s.technology, s.bundle, s.prices, s.shift),
     ),
-    2: (frozenset({"prices"}), lambda s, tol: run_paradox_2(s.technology, s.prices, s.bundle, tol)),
-    3: (frozenset({"prices"}), lambda s, tol: run_paradox_3(s.technology, s.prices, s.bundle, tol)),
+    2: (frozenset({"prices"}), lambda s: run_paradox_2(s.technology, s.prices, s.bundle)),
+    3: (frozenset({"prices"}), lambda s: run_paradox_3(s.technology, s.prices, s.bundle)),
     4: (
         frozenset({"prices", "prices_after"}),
-        lambda s, tol: run_paradox_4(s.technology, s.bundle, s.prices, s.prices_after),
+        lambda s: run_paradox_4(s.technology, s.bundle, s.prices, s.prices_after),
     ),
     5: (
         frozenset({"pricing", "markups_after"}),
-        lambda s, tol: run_paradox_5(
+        lambda s: run_paradox_5(
             s.pricing, s.pricing.with_markups(s.markups_after), s.technology, s.bundle
         ),
     ),
@@ -388,7 +368,7 @@ _RUNNERS: dict[int, tuple[frozenset[str], Callable[[Scenario, Tolerances], Parad
 _OPTIONAL_FIELD_NAMES = frozenset().union(*(required for required, _ in _RUNNERS.values()))
 
 
-def run_scenario(scenario: Scenario, tolerances: Tolerances = Tolerances()) -> ParadoxReport:
+def run_scenario(scenario: Scenario) -> ParadoxReport:
     """Validate a scenario's field set against its paradox and run it."""
     required, run = _RUNNERS[scenario.paradox_id]
     present = {name for name in _OPTIONAL_FIELD_NAMES if getattr(scenario, name) is not None}
@@ -401,7 +381,7 @@ def run_scenario(scenario: Scenario, tolerances: Tolerances = Tolerances()) -> P
         raise ScenarioError(
             f"scenario {scenario.name!r} (paradox {scenario.paradox_id}): " + ", ".join(parts)
         )
-    return run(scenario, tolerances)
+    return run(scenario)
 
 
 def _where(scenario: Scenario) -> str:
@@ -416,7 +396,6 @@ def _where(scenario: Scenario) -> str:
 
 def run_all(
     scenarios: Union[str, "PathLike[str]", Iterable[Union[Scenario, FailedScenario]]],
-    tolerances: Tolerances = Tolerances(),
 ) -> list[ScenarioOutcome]:
     """Run every scenario, isolating failures so one bad entry cannot stop the rest.
 
@@ -435,7 +414,7 @@ def run_all(
             error, error_kind = scenario.error, "input"
         else:
             try:
-                report = run_scenario(scenario, tolerances)
+                report = run_scenario(scenario)
             except NoConvergenceError as exc:
                 error, error_kind = str(exc), "internal"
             except ArithmeticError as exc:  # Python's own text names no input

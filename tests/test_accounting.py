@@ -232,6 +232,27 @@ class TestBuildIndices:
         assert indices[("BB", "edu")].value_at(1996) == pytest.approx(102.0, rel=1e-12)
         assert indices[("AA", "health")].value_at(1996) == 100.0
 
+    def test_every_failing_series_is_named_in_key_order(self):
+        rows = [
+            obs(1995, country="UK"), obs(1997, country="UK"),  # a gap
+            obs(1995), obs(1996),
+            obs(1996, country="FI"), obs(1997, country="FI"),  # no base year
+        ]
+        with pytest.raises(SeriesError) as info:
+            build_indices(rows, 1995)
+        assert type(info.value) is SeriesError
+        assert str(info.value) == (
+            "2 series failed: base year 1995 is outside the series range 1996..1997 in "
+            "('FI', 'edu'); gap in series ('UK', 'edu'): year 1995 is followed by 1997"
+        )
+
+    def test_one_failing_series_keeps_its_error(self):
+        with pytest.raises(MissingBaseYearError) as info:
+            build_indices([obs(1995), obs(1996), obs(1996, country="FI")], 1995)
+        assert str(info.value) == (
+            "base year 1995 is outside the series range 1996..1996 in ('FI', 'edu')"
+        )
+
 
 class TestPanelCsv:
     def test_round_trip(self, tmp_path):

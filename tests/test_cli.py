@@ -1,6 +1,5 @@
 import csv
 import hashlib
-import math
 import os
 import shutil
 import subprocess
@@ -100,51 +99,19 @@ scenarios:
         assert rows[0]["error"] != ""
         capsys.readouterr()
 
-    def test_scale_fixed_point_tolerance_is_an_unknown_name(self, tmp_path, capsys):
-        near_peak = math.e * 1.2
-        text = f"""\
-scenarios:
-  - name: tiny-scale-move
-    paradox: 3
-    technology: {{family: homothetic-translog, inner_alpha_capital: 0.5, slope: 1.2, curvature: -0.1}}
-    bundle: {{capital: {near_peak!r}, labor: {near_peak!r}}}
-    prices: {{capital_price: 1, wage: 1}}
-"""
-        scenario_file = tmp_path / "scenarios.yaml"
-        scenario_file.write_text(text, encoding="utf-8")
-        out = tmp_path / "report.csv"
-
-        assert main(["paradox", "--input", str(scenario_file), "--output", str(out)]) == 0
-        assert read_rows(out)[0]["confirmed"] == "true"
-
-        capsys.readouterr()
-        # paradox 3's fixed point is derived from the curvature; the old knob is no guard
-        assert main([
-            "paradox", "--input", str(scenario_file), "--output", str(out),
-            "--tolerance", "mpss_log_scale=0.5",
-        ]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == "pubtfp: unknown tolerance names: ['mpss_log_scale']\n"
-        assert "Traceback" not in captured.out + captured.err
-
-    def test_unknown_tolerance_name_is_an_input_error(self, tmp_path, capsys):
-        out = tmp_path / "report.csv"
-        code = main([
-            "paradox", "--input", str(PARADOX_FILE), "--output", str(out),
-            "--tolerance", "spelling=0.5",
-        ])
-        assert code == 1
-        assert "unknown tolerance" in capsys.readouterr().err
-
-    def test_malformed_tolerance_flag_exits_one(self, tmp_path, capsys):
+    def test_retired_tolerance_flag_exits_one(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
         with pytest.raises(SystemExit) as excinfo:
             main([
                 "paradox", "--input", str(PARADOX_FILE), "--output", str(out),
-                "--tolerance", "loose",
+                "--tolerance", "identity_check=1e-6",
             ])
         assert excinfo.value.code == 1
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: pubtfp")
+        assert "unrecognized arguments: --tolerance identity_check=1e-6" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
 
     def test_missing_input_file_exits_one(self, tmp_path, capsys):
         code = main([
@@ -247,6 +214,22 @@ class TestSimulateAndAccounting:
         ])
         assert code == 1
         assert "1888" in capsys.readouterr().err
+
+    def test_every_series_problem_names_the_panel(self, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        panel.write_text(PANEL_HEADER + "".join(
+            f"{year},{country},{industry},1.0,1.0,1.0,1.0,0.6,0.4\n"
+            for country, industry in (("UK", "ind0"), ("FI", "ind1"))
+            for year in (1995, 1996, 1998)
+        ), encoding="utf-8")
+        out = tmp_path / "indices.csv"
+        assert main(["accounting", "--input", str(panel), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "pubtfp: 2 series failed: "
+            "gap in series ('FI', 'ind1'): year 1996 is followed by 1998; "
+            f"gap in series ('UK', 'ind0'): year 1996 is followed by 1998 (panel {panel})\n"
+        )
+        assert not out.exists()
 
     def test_malformed_panel_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "panel.csv"
@@ -764,8 +747,16 @@ class TestEverySimulatedRowFailureNamesItsRow:
                 "translog (scale elasticity -45.05170185988092 at log core index "
                 "230.25850929940458)",
             ),
+            (
+                "{family: homothetic-translog, inner_alpha_capital: 0.5, slope: 1.0, "
+                "curvature: -0.1}", "1.0e-200", 1,
+                "simulated row SIM/public 1996: va_nominal must be strictly positive, got 0.0",
+            ),
         ],
-        ids=["ces-subnormal-capital-overflows", "translog-beyond-the-monotone-region"],
+        ids=[
+            "ces-subnormal-capital-overflows", "translog-beyond-the-monotone-region",
+            "translog-output-underflows",
+        ],
     )
     def test_market_row_failure_names_series_year_and_config(
         self, tmp_path, capsys, technology, capital, code, problem

@@ -1,5 +1,4 @@
 import math
-from decimal import Decimal
 
 import pytest
 
@@ -22,7 +21,6 @@ from pubtfp.paradoxes import (
     WELFARE_UNCHANGED,
     FailedScenario,
     Scenario,
-    Tolerances,
     run_all,
     run_paradox_1,
     run_paradox_2,
@@ -111,55 +109,77 @@ class TestAllocativeParadox:
         with pytest.raises(AlreadyEfficientError):
             run_paradox_2(self.symmetric, UNIT_PRICES, InputBundle(2.0, 2.0))
 
+    def test_both_guards_are_fixed_at_one_in_a_billion(self):
+        assert pubtfp.paradoxes._ALREADY_EFFICIENT == 1e-9
+        assert pubtfp.paradoxes._IDENTITY_REL_TOL == 1e-9
+
+    # at unit prices the symmetric Cobb-Douglas gap at (3, 3 - d) is
+    # 2 sqrt(3 (3 - d)) / (6 - d), about 1 - d**2 / 72: it crosses the
+    # guard's 1 - 1e-9 near d = 2.68e-4
+    @pytest.mark.parametrize(
+        "shortfall", [1e-6, 1e-5, 1e-4, 2e-4, 2.5e-4, 2.8e-4, 3e-4, 1e-3, 1e-1]
+    )
+    def test_efficiency_guard_refuses_exactly_the_gaps_within_it(self, shortfall):
+        bundle = InputBundle(3.0, 3.0 - shortfall)
+        gap = 2.0 * math.sqrt(bundle.capital * bundle.labor) / (bundle.capital + bundle.labor)
+        if 1.0 - gap <= 1e-9:
+            with pytest.raises(AlreadyEfficientError):
+                run_paradox_2(self.symmetric, UNIT_PRICES, bundle)
+        else:
+            report = run_paradox_2(self.symmetric, UNIT_PRICES, bundle)
+            assert report.details["allocative_gap"] == pytest.approx(gap, rel=1e-12)
+            assert report.paradox_confirmed
+
     # each failure path in the order the runner checks it: the gap's domain
     # (value-added technology first, then positive inputs), the solver's target
     # and bracket checks, the efficiency guard, the isoquant check
     @pytest.mark.parametrize(
-        "tech, prices, bundle, tolerances, error, text",
+        "tech, prices, bundle, error, text",
         [
             pytest.param(
-                GROSS_CD, FactorPrices(1.0, 1.0, 1.0), InputBundle(0.0, 1.0, 1.0), Tolerances(),
+                GROSS_CD, FactorPrices(1.0, 1.0, 1.0), InputBundle(0.0, 1.0, 1.0),
                 DomainError, "allocative gap is defined for value-added technologies only",
                 id="intermediates",
             ),
             pytest.param(
-                CD37, UNIT_PRICES, InputBundle(0.0, 1.0), Tolerances(),
+                CD37, UNIT_PRICES, InputBundle(0.0, 1.0),
                 DomainError, "allocative gap requires strictly positive capital and labor",
                 id="zero-capital",
             ),
             pytest.param(
                 CobbDouglas(alpha_capital=2.0, alpha_labor=2.0), UNIT_PRICES,
-                InputBundle(1e-200, 1e-200), Tolerances(),
+                InputBundle(1e-200, 1e-200),
                 DomainError, "target output must be strictly positive, got 0.0",
                 id="output-underflow",
             ),
             pytest.param(
                 Ces(capital_weight=0.4, substitution=-1.0), FactorPrices(1e40, 1e-5),
-                UNIT_BUNDLE, Tolerances(),
+                UNIT_BUNDLE,
                 NoConvergenceError,
                 "factor price ratio lies outside the bracketed range of capital-labor ratios",
                 id="outside-bracket",
             ),
             pytest.param(
-                symmetric, UNIT_PRICES, InputBundle(3.0, 2.9999), Tolerances(),
+                symmetric, UNIT_PRICES, InputBundle(3.0, 2.9999),
                 AlreadyEfficientError,
                 "bundle is already cost-minimizing at these prices "
                 "(allocative gap 0.9999999998611062)",
                 id="already-efficient",
             ),
             pytest.param(
-                CD37, FactorPrices(2.0, 1.0), InputBundle(4.0, 1.0),
-                Tolerances(identity_check=1e-17),
+                # a CES this close to Cobb-Douglas loses the isoquant to rounding
+                Ces(capital_weight=0.3, substitution=1e-10), FactorPrices(1.0, 2.0),
+                InputBundle(5.0, 0.5),
                 NoConvergenceError,
                 "cost minimizer left the isoquant: "
-                "output 1.5157165665103978 for target 1.515716566510398",
+                "output 0.9976313732532592 for target 0.9976302656605534",
                 id="tight-identity-check",
             ),
         ],
     )
-    def test_error_type_and_text(self, tech, prices, bundle, tolerances, error, text):
+    def test_error_type_and_text(self, tech, prices, bundle, error, text):
         with pytest.raises(error) as info:
-            run_paradox_2(tech, prices, bundle, tolerances)
+            run_paradox_2(tech, prices, bundle)
         assert type(info.value) is error
         assert str(info.value) == text
 
@@ -225,6 +245,24 @@ class TestScaleParadox:
         assert report.welfare_direction == WELFARE_UNCHANGED
         assert not report.paradox_confirmed
         assert report.before is report.after
+
+    def test_bundle_near_its_peak_is_confirmed(self):
+        near_peak = InputBundle(math.e * 1.2, math.e * 1.2)
+        assert run_paradox_3(TRANSLOG, UNIT_PRICES, near_peak).paradox_confirmed
+
+    def test_factor_bill_out_of_float_range_is_an_input_error(self):
+        # the best scale is e^10 times the bundle, where the factor bill exceeds 1.8e308
+        tech = HomotheticTranslog(inner_alpha_capital=0.5, slope=1.2, curvature=-0.01)
+        bundle, prices = InputBundle(1e300, 1e-300), FactorPrices(1e5, 1.0)
+        text = (
+            "most productive scale size is out of float range: "
+            "ln scale 9.999999999999998 (factor bill inf)"
+        )
+        with pytest.raises(DomainError) as info:
+            run_paradox_3(tech, prices, bundle)
+        assert type(info.value) is DomainError and str(info.value) == text
+        (outcome,) = run_all([Scenario("far", 3, tech, bundle, prices=prices)])
+        assert (outcome.error, outcome.error_kind) == (text, "input")
 
     def test_constant_elasticity_technology_has_no_scale_move(self):
         flat = HomotheticTranslog(inner_alpha_capital=0.5, slope=0.8, curvature=0.0)
@@ -342,46 +380,6 @@ class TestMarkupParadox:
         mild = run_paradox_5(SCHEME.with_markups([0.19, 0.09]), SCHEME.with_markups([0.15, 0.08]), GROSS_CD, GROSS_BUNDLE)
         deep = run_paradox_5(SCHEME.with_markups([0.19, 0.09]), SCHEME.with_markups([0.01, 0.01]), GROSS_CD, GROSS_BUNDLE)
         assert deep.measured_after < mild.measured_after < mild.measured_before
-
-
-class TestTolerances:
-    def test_defaults(self):
-        t = Tolerances()
-        assert t.allocative_efficiency == 1e-9
-        assert t.identity_check == 1e-9
-
-    @pytest.mark.parametrize("value", [0.0, -1e-9, 1.0, 2.0, float("nan")])
-    def test_must_lie_strictly_inside_the_unit_interval(self, value):
-        with pytest.raises(InvalidParameterError):
-            Tolerances(identity_check=value)
-
-    def test_replaced_merges_overrides(self):
-        t = Tolerances().replaced({"allocative_efficiency": 0.5})
-        assert t.allocative_efficiency == 0.5
-        assert t.identity_check == 1e-9
-
-    def test_replaced_rejects_unknown_names(self):
-        with pytest.raises(InvalidParameterError):
-            Tolerances().replaced({"spelling": 0.5})
-
-    def test_stores_the_converted_floats(self):
-        t = Tolerances(allocative_efficiency="1e-9").replaced({"identity_check": Decimal("1e-9")})
-        scenario = Scenario(
-            name="rebalance", paradox_id=2, technology=CD37, bundle=InputBundle(4.0, 1.0),
-            prices=UNIT_PRICES,
-        )
-        (outcome,) = run_all([scenario], t)
-        assert outcome.error is None and outcome.report.paradox_confirmed
-        assert type(t.allocative_efficiency) is float and t.allocative_efficiency == 1e-9
-        assert type(t.identity_check) is float and t.identity_check == 1e-9
-
-    def test_the_scale_fixed_point_has_no_tolerance(self):
-        # paradox 3 derives its fixed point from the curvature; mpss_log_scale is gone
-        with pytest.raises(InvalidParameterError) as info:
-            Tolerances().replaced({"mpss_log_scale": 0.5})
-        assert str(info.value) == "unknown tolerance names: ['mpss_log_scale']"
-        near_peak = InputBundle(math.e * 1.2, math.e * 1.2)
-        assert run_paradox_3(TRANSLOG, UNIT_PRICES, near_peak).paradox_confirmed
 
 
 class TestScenarioValidation:

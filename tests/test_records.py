@@ -33,6 +33,7 @@ from pubtfp.measurement import (
     OutputMix,
     OutputShare,
     PricedOutput,
+    PricingScheme,
     _positive,
     measured_tfp_cost_based,
     unit_costs_from_allocation,
@@ -42,7 +43,6 @@ from pubtfp.paradoxes import (
     ParadoxReport,
     Scenario,
     ScenarioOutcome,
-    Tolerances,
     run_all,
     run_paradox_1,
 )
@@ -54,6 +54,7 @@ from pubtfp.technology import (
     InputBundle,
     TechnologyShift,
     TwoLevelCes,
+    _require_finite,
     _require_nonnegative,
     _require_positive,
     true_tfp,
@@ -78,6 +79,7 @@ CHECKS = {
     "FactorPrices.intermediates_price": (
         lambda v: FactorPrices(1.0, 1.0, v).intermediates_price, "intermediates_price", "positive"
     ),
+    "_require_finite": (lambda v: _require_finite("x", v), "x", "finite"),
     "_require_nonnegative": (lambda v: _require_nonnegative("x", v), "x", "nonnegative"),
     "_require_positive": (lambda v: _require_positive("x", v), "x", "positive"),
     "measurement._positive": (lambda v: _positive("x", v), "x", "measured"),
@@ -168,6 +170,10 @@ CHECKS.update({
     "Technology.with_level": (
         lambda v: CobbDouglas(0.5, 0.5).with_level(v).level, "level", "positive"
     ),
+    # paradox 3's family: its twin copies three more fields than Cobb-Douglas's
+    "HomotheticTranslog.with_level": (
+        lambda v: HomotheticTranslog(0.5, 1.2, -0.1).with_level(v).level, "level", "positive"
+    ),
     "InputBundle.scaled": (
         lambda v: InputBundle(1.0, 1.0).scaled(v).capital, "scale factor", "positive"
     ),
@@ -188,6 +194,11 @@ CHECKS.update({
         lambda v: PricedOutput(v, 0.0, 1.0).marginal_cost, "marginal_cost", "measured"
     ),
     "PricedOutput.markup": (lambda v: PricedOutput(1.0, v, 1.0).markup, "markup", "markup"),
+    "PricingScheme.with_markups": (
+        lambda v: PricingScheme((PricedOutput(1.0, 0.0, 1.0),)).with_markups([v]).items[0].markup,
+        "markup",
+        "markup",
+    ),
     "PricedOutput.quantity": (
         lambda v: PricedOutput(1.0, 0.0, v).quantity, "quantity", "measured"
     ),
@@ -217,10 +228,6 @@ CHECKS.update({
         lambda v: _share("capital_share", "labor_share", v), "capital_share", "share"
     ),
 })
-for name in ("allocative_efficiency", "identity_check"):
-    CHECKS[f"Tolerances.{name}"] = (
-        lambda v, name=name: getattr(Tolerances(**{name: v}), name), name, "tolerance"
-    )
 for name in SIMULATION_PATHS:
     CHECKS[f"SimulationSpec.{name}"] = (lambda v, name=name: _path(name, v), name, "path")
 
@@ -231,7 +238,6 @@ SHIFT = "a technology shift must have factor > 1, got {value}"
 WEIGHT = "{name} must lie in (0, 1), got {value}"
 SUBSTITUTION = "{name} must lie in (-inf, 1) and differ from 0, got {value}"
 CURVATURE = "{name} must be <= 0 (scale elasticity nonincreasing in scale), got {value}"
-TOLERANCE = "tolerance {name} must lie in (0, 1), got {value}"
 SHARE = "{name} must lie in [0, 1], got {value}"
 PATH = "{name} path must be strictly positive throughout"
 
@@ -246,8 +252,8 @@ def markup(raw):
 
 
 RULES = (
-    "nonnegative", "positive", "measured", "shift", "weight", "substitution", "curvature",
-    "coverage", "markup", "tolerance", "share", "path",
+    "finite", "nonnegative", "positive", "measured", "shift", "weight", "substitution",
+    "curvature", "coverage", "markup", "share", "path",
 )
 
 # case id -> (value, outcome under each rule). A float outcome is the stored
@@ -255,90 +261,100 @@ RULES = (
 # exception type and its text.
 CASES = {
     "int": (3, {
+        "finite": 3.0,
         "nonnegative": 3.0, "positive": 3.0, "measured": 3.0, "shift": 3.0, "weight": WEIGHT,
         "substitution": SUBSTITUTION, "curvature": CURVATURE, "coverage": coverage("3"),
-        "markup": 3.0, "tolerance": TOLERANCE, "share": SHARE, "path": 3.0,
+        "markup": 3.0, "share": SHARE, "path": 3.0,
     }),
     "bool-true": (True, {
+        "finite": 1.0,
         "nonnegative": 1.0, "positive": 1.0, "measured": 1.0, "shift": SHIFT, "weight": WEIGHT,
         "substitution": SUBSTITUTION, "curvature": CURVATURE, "coverage": 1.0, "markup": 1.0,
-        "tolerance": TOLERANCE, "share": 1.0, "path": 1.0,
+        "share": 1.0, "path": 1.0,
     }),
     "bool-false": (False, {
+        "finite": 0.0,
         "nonnegative": 0.0, "positive": POSITIVE, "measured": POSITIVE, "shift": SHIFT,
         "weight": WEIGHT, "substitution": SUBSTITUTION, "curvature": 0.0,
-        "coverage": coverage("False"), "markup": 0.0, "tolerance": TOLERANCE, "share": 0.0,
-        "path": PATH,
+        "coverage": coverage("False"), "markup": 0.0, "share": 0.0, "path": PATH,
     }),
     "numeric-str": ("2.5", {
+        "finite": 2.5,
         "nonnegative": 2.5, "positive": 2.5, "measured": 2.5, "shift": 2.5, "weight": WEIGHT,
         "substitution": SUBSTITUTION, "curvature": CURVATURE, "coverage": coverage("'2.5'"),
-        "markup": 2.5, "tolerance": TOLERANCE, "share": SHARE, "path": 2.5,
+        "markup": 2.5, "share": SHARE, "path": 2.5,
     }),
     "word-str": (
         "abc",
         dict.fromkeys(RULES, (ValueError, "could not convert string to float: 'abc'")),
     ),
     "float-subclass": (Real(1.5), {
+        "finite": 1.5,
         "nonnegative": 1.5, "positive": 1.5, "measured": 1.5, "shift": 1.5, "weight": WEIGHT,
         "substitution": SUBSTITUTION, "curvature": CURVATURE, "coverage": coverage("1.5"),
-        "markup": 1.5, "tolerance": TOLERANCE, "share": SHARE, "path": 1.5,
+        "markup": 1.5, "share": SHARE, "path": 1.5,
     }),
     "negative-float-subclass": (Real(-1.5), {
+        "finite": -1.5,
         "nonnegative": NONNEGATIVE, "positive": POSITIVE, "measured": POSITIVE, "shift": SHIFT,
         "weight": WEIGHT, "substitution": -1.5, "curvature": -1.5, "coverage": coverage("-1.5"),
-        "markup": markup("-1.5"), "tolerance": TOLERANCE, "share": SHARE, "path": PATH,
+        "markup": markup("-1.5"), "share": SHARE, "path": PATH,
     }),
     "negative-zero": (-0.0, {
+        "finite": -0.0,
         "nonnegative": -0.0, "positive": POSITIVE, "measured": POSITIVE, "shift": SHIFT,
         "weight": WEIGHT, "substitution": SUBSTITUTION, "curvature": -0.0,
-        "coverage": coverage("-0.0"), "markup": -0.0, "tolerance": TOLERANCE, "share": -0.0,
-        "path": PATH,
+        "coverage": coverage("-0.0"), "markup": -0.0, "share": -0.0, "path": PATH,
     }),
     "positive-zero": (0.0, {
+        "finite": 0.0,
         "nonnegative": 0.0, "positive": POSITIVE, "measured": POSITIVE, "shift": SHIFT,
         "weight": WEIGHT, "substitution": SUBSTITUTION, "curvature": 0.0,
-        "coverage": coverage("0.0"), "markup": 0.0, "tolerance": TOLERANCE, "share": 0.0,
-        "path": PATH,
+        "coverage": coverage("0.0"), "markup": 0.0, "share": 0.0, "path": PATH,
     }),
     "subnormal": (5e-324, {
+        "finite": 5e-324,
         "nonnegative": 5e-324, "positive": 5e-324, "measured": 5e-324, "shift": SHIFT,
         "weight": 5e-324, "substitution": 5e-324, "curvature": CURVATURE, "coverage": 5e-324,
-        "markup": 5e-324, "tolerance": 5e-324, "share": 5e-324, "path": 5e-324,
+        "markup": 5e-324, "share": 5e-324, "path": 5e-324,
     }),
     "largest-float": (1.7976931348623157e308, {
         **dict.fromkeys(
-            ("nonnegative", "positive", "measured", "shift", "markup", "path"),
+            ("finite", "nonnegative", "positive", "measured", "shift", "markup", "path"),
             1.7976931348623157e308,
         ),
         "weight": WEIGHT, "substitution": SUBSTITUTION, "curvature": CURVATURE,
-        "coverage": coverage("1.7976931348623157e+308"), "tolerance": TOLERANCE, "share": SHARE,
+        "coverage": coverage("1.7976931348623157e+308"), "share": SHARE,
     }),
     "nan": (math.nan, {
+        "finite": FINITE,
         "nonnegative": FINITE, "positive": FINITE, "measured": POSITIVE, "shift": FINITE,
         "weight": FINITE, "substitution": FINITE, "curvature": FINITE, "coverage": coverage("nan"),
-        "markup": markup("nan"), "tolerance": TOLERANCE, "share": SHARE, "path": PATH,
+        "markup": markup("nan"), "share": SHARE, "path": PATH,
     }),
     "inf": (math.inf, {
+        "finite": FINITE,
         "nonnegative": FINITE, "positive": FINITE, "measured": POSITIVE, "shift": FINITE,
         "weight": FINITE, "substitution": FINITE, "curvature": FINITE, "coverage": coverage("inf"),
-        "markup": markup("inf"), "tolerance": TOLERANCE, "share": SHARE, "path": PATH,
+        "markup": markup("inf"), "share": SHARE, "path": PATH,
     }),
     "minus-inf": (-math.inf, {
+        "finite": FINITE,
         "nonnegative": FINITE, "positive": FINITE, "measured": POSITIVE, "shift": FINITE,
         "weight": FINITE, "substitution": FINITE, "curvature": FINITE,
-        "coverage": coverage("-inf"), "markup": markup("-inf"), "tolerance": TOLERANCE,
-        "share": SHARE, "path": PATH,
+        "coverage": coverage("-inf"), "markup": markup("-inf"), "share": SHARE, "path": PATH,
     }),
     "negative": (-1.0, {
+        "finite": -1.0,
         "nonnegative": NONNEGATIVE, "positive": POSITIVE, "measured": POSITIVE, "shift": SHIFT,
         "weight": WEIGHT, "substitution": -1.0, "curvature": -1.0, "coverage": coverage("-1.0"),
-        "markup": markup("-1.0"), "tolerance": TOLERANCE, "share": SHARE, "path": PATH,
+        "markup": markup("-1.0"), "share": SHARE, "path": PATH,
     }),
     "negative-int": (-2, {
+        "finite": -2.0,
         "nonnegative": NONNEGATIVE, "positive": POSITIVE, "measured": POSITIVE, "shift": SHIFT,
         "weight": WEIGHT, "substitution": -2.0, "curvature": -2.0, "coverage": coverage("-2"),
-        "markup": markup("-2"), "tolerance": TOLERANCE, "share": SHARE, "path": PATH,
+        "markup": markup("-2"), "share": SHARE, "path": PATH,
     }),
     "huge-int": (
         10**400,
@@ -349,7 +365,7 @@ CASES = {
     }),
     "one": (1.0, {
         **dict.fromkeys(RULES, 1.0), "shift": SHIFT, "weight": WEIGHT,
-        "substitution": SUBSTITUTION, "curvature": CURVATURE, "tolerance": TOLERANCE,
+        "substitution": SUBSTITUTION, "curvature": CURVATURE,
     }),
 }
 
@@ -409,7 +425,6 @@ CHECK_ORDERS = {
         dict(value=1.0, convention="CostBasedVA", numerator=1.0, denominator=1.0),
         ("numerator", "denominator", "value"),
     ),
-    Tolerances: (dict(allocative_efficiency=0.5, identity_check=0.5), None),
     PanelObservation: (
         dict(year=2000, country="X", industry="Y", va_nominal=1.0, va_deflator=1.0,
              capital_services=1.0, labor_input=1.0, labor_share=0.5, capital_share=0.5),
@@ -426,7 +441,7 @@ def test_ranged_fields_are_checked_in_a_fixed_order(cls):
     for name in order:
         with pytest.raises(InvalidParameterError) as info:
             _fields_after(cls, valid, name)(order)
-        assert re.match(rf"(tolerance )?{name} must ", str(info.value)), (name, str(info.value))
+        assert re.match(rf"{name} must ", str(info.value)), (name, str(info.value))
 
 
 def test_simulation_paths_are_checked_in_field_order():
@@ -530,6 +545,7 @@ def test_record_value_semantics(cls):
 # rule -> what the interval tests the validators were written with make of a float:
 # None keeps it, a string is the exact error text
 SPEC = {
+    "finite": lambda v: FINITE if not math.isfinite(v) else None,
     "nonnegative": lambda v: FINITE if not math.isfinite(v) else NONNEGATIVE if v < 0.0 else None,
     "positive": lambda v: FINITE if not math.isfinite(v) else POSITIVE if v <= 0.0 else None,
     "measured": lambda v: POSITIVE if not (math.isfinite(v) and v > 0.0) else None,
@@ -541,7 +557,6 @@ SPEC = {
     "curvature": lambda v: FINITE if not math.isfinite(v) else CURVATURE if v > 0.0 else None,
     "coverage": lambda v: None if math.isfinite(v) and 0.0 < v <= 1.0 else coverage(repr(v)),
     "markup": lambda v: None if math.isfinite(v) and v > -1.0 else markup(repr(v)),
-    "tolerance": lambda v: None if 0.0 < v < 1.0 else TOLERANCE,
     "share": lambda v: None if 0.0 <= v <= 1.0 else SHARE,
     "path": lambda v: None if math.isfinite(v) and v > 0.0 else PATH,
 }
