@@ -16,7 +16,8 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# every public name once, under the submodule that defines it
+# every public name once, under the submodule that defines it; each submodule's
+# __all__ reads its entry here
 _EXPORTS = {
     "technology": (
         "InputBundle", "FactorPrices", "TechnologyShift", "Technology", "CobbDouglas", "Ces",

@@ -30,6 +30,7 @@ from itertools import groupby, starmap
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
+from . import _EXPORTS
 from .errors import (
     InvalidParameterError,
     MissingBaseYearError,
@@ -44,22 +45,7 @@ from .errors import (
 if TYPE_CHECKING:
     from .technology import Technology
 
-__all__ = [
-    "PANEL_COLUMNS",
-    "INDEX_COLUMNS",
-    "SIMULATION_CONVENTIONS",
-    "PanelObservation",
-    "TfpIndexSeries",
-    "SimulationSpec",
-    "deflate",
-    "tornqvist_tfp_growth",
-    "build_index",
-    "build_indices",
-    "ingest_panel",
-    "write_panel",
-    "write_indices",
-    "simulate_sna_panel",
-]
+__all__ = [*_EXPORTS["accounting"], "PANEL_COLUMNS", "INDEX_COLUMNS", "SIMULATION_CONVENTIONS"]
 
 logger = logging.getLogger(__name__)
 

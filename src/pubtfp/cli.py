@@ -26,7 +26,10 @@ from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import NoConvergenceError, PubTfpError, SeriesError, _csv_cells, _not_utf8, _write_csv
+from . import _HOME
+from .errors import (
+    NoConvergenceError, PubTfpError, ScenarioError, SeriesError, _csv_cells, _not_utf8, _write_csv,
+)
 
 if TYPE_CHECKING:
     from .accounting import TfpIndexSeries
@@ -34,33 +37,26 @@ if TYPE_CHECKING:
 
 __all__ = ["build_parser", "main"]
 
-# The names the handlers call, by home module. A subcommand imports only its
-# own modules, so ``report`` loads neither PyYAML nor the solvers. Each
-# handler binds its names into this module's globals first, keeping a value
-# already set from outside (a tracing wrapper), then calls them as globals.
-_DEFERRED = {
-    "accounting": (
-        "build_indices", "ingest_panel", "simulate_sna_panel", "write_indices", "write_panel",
-    ),
-    "paradoxes": ("run_all",),
-    "scenario_io": ("load_scenarios", "load_simulation"),
-}
-_DEFERRED_HOME = {name: module for module, names in _DEFERRED.items() for name in names}
+# The names the handlers call. A subcommand imports only its names' home
+# modules (pubtfp._HOME), so ``report`` loads neither PyYAML nor the solvers.
+# Each handler binds its names into this module's globals first, keeping a
+# value already set from outside (a tracing wrapper), then calls them as globals.
+_DEFERRED = (
+    "build_indices", "ingest_panel", "load_scenarios", "load_simulation", "run_all",
+    "simulate_sna_panel", "write_indices", "write_panel",
+)
 
 
-def _bind(*modules: str) -> None:
+def _bind(*names: str) -> None:
     # relative to __package__: under ``python -m pubtfp.cli`` __name__ is __main__
-    for module in modules:
-        loaded = import_module(f".{module}", __package__)
-        for name in _DEFERRED[module]:
-            globals().setdefault(name, getattr(loaded, name))
+    for name in names:
+        globals().setdefault(name, getattr(import_module(f".{_HOME[name]}", __package__), name))
 
 
 def __getattr__(name: str):
-    module = _DEFERRED_HOME.get(name)
-    if module is None:
+    if name not in _DEFERRED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(module)
+    _bind(name)
     return globals()[name]
 
 
@@ -173,7 +169,7 @@ def _tally(verdicts: list[str]) -> str:
 
 
 def _run_paradox(args: argparse.Namespace) -> int:
-    _bind("scenario_io", "paradoxes")
+    _bind("load_scenarios", "run_all")
     scenarios = load_scenarios(args.input)
     outcomes = run_all(scenarios)
     _write_report(outcomes, args.output)
@@ -219,7 +215,7 @@ def _default_plot_path(output_path: Path) -> Path:
 
 def _run_accounting(args: argparse.Namespace) -> int:
     _configure_logging()
-    _bind("accounting")
+    _bind("ingest_panel", "build_indices", "write_indices")
     observations = ingest_panel(args.input)
     try:
         indices = build_indices(observations, args.base_year)
@@ -237,10 +233,12 @@ def _run_accounting(args: argparse.Namespace) -> int:
 
 def _run_simulate(args: argparse.Namespace) -> int:
     _configure_logging()
-    _bind("scenario_io", "accounting")
-    spec = load_simulation(args.input)
+    _bind("load_simulation", "simulate_sna_panel", "write_panel")
     try:
+        spec = load_simulation(args.input)
         observations = simulate_sna_panel(spec)
+    except ScenarioError:  # its text already starts with the path
+        raise
     except (PubTfpError, ArithmeticError) as exc:  # same type, so the exit code holds
         raise type(exc)(f"{exc} (simulation config {args.input})") from None
     write_panel(observations, args.output)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import _EXPORTS
 from .errors import DomainError, InvalidParameterError, NoConvergenceError, NoInteriorMpssError
 from .measurement import cost_based_value_added
 from .technology import (
@@ -26,18 +27,10 @@ from .technology import (
     TechnologyShift,
 )
 
-__all__ = [
-    "CostMinResult",
-    "MpssResult",
-    "min_cost_bundle",
-    "allocative_gap",
-    "find_mpss",
-    "apply_technical_progress",
-]
+__all__ = [*_EXPORTS["efficiency"]]
 
 # representable ranges
 _LOG_RATIO_BRACKET = 40.0  # cost-minimizing ln(K/L) must lie in [-40, 40]
-_LOG_SCALE_BRACKET = 20.0  # ln(scale) of the two elasticities a missing MPSS is worded by
 _NORMAL_MIN = 2.0**-1022  # smallest normal float: the MPSS bundle and output keep full precision
 
 
@@ -116,28 +109,28 @@ def _cost_min_log_ratio(tech: Ces | HomotheticTranslog, prices: FactorPrices) ->
     return x
 
 
-def _scale_to_isoquant(tech: Technology, direction: InputBundle, target_output: float) -> float:
+def _scale_to_isoquant(
+    tech: Ces | HomotheticTranslog, direction: InputBundle, target_output: float
+) -> float:
     """Scale s with output(s * direction) = target_output, along a fixed ray."""
     if isinstance(tech, Ces):
         base = tech.output(direction)
         return math.exp((math.log(target_output) - math.log(base)) / tech.returns_to_scale)
-    if isinstance(tech, HomotheticTranslog):
-        b, c = tech.slope, tech.curvature
-        log_target = math.log(target_output) - math.log(tech.level)
-        u0 = tech._log_core_index(direction)
-        if c == 0.0:
-            return math.exp(log_target / b - u0)
-        disc = b * b + 4.0 * c * log_target
-        if disc < 0.0:
-            max_output = tech.level * math.exp(-b * b / (4.0 * c))
-            raise DomainError(
-                f"target output {target_output!r} exceeds the frontier maximum "
-                f"{max_output!r} for this technology"
-            )
-        # root on the increasing branch: scale elasticity there is +sqrt(disc)
-        u_star = (-b + math.sqrt(disc)) / (2.0 * c)
-        return math.exp(u_star - u0)
-    raise DomainError(f"no isoquant scaling rule for family {tech.family!r}")
+    b, c = tech.slope, tech.curvature
+    log_target = math.log(target_output) - math.log(tech.level)
+    u0 = tech._log_core_index(direction)
+    if c == 0.0:
+        return math.exp(log_target / b - u0)
+    disc = b * b + 4.0 * c * log_target
+    if disc < 0.0:
+        max_output = tech.level * math.exp(-b * b / (4.0 * c))
+        raise DomainError(
+            f"target output {target_output!r} exceeds the frontier maximum "
+            f"{max_output!r} for this technology"
+        )
+    # root on the increasing branch: scale elasticity there is +sqrt(disc)
+    u_star = (-b + math.sqrt(disc)) / (2.0 * c)
+    return math.exp(u_star - u0)
 
 
 def min_cost_bundle(
@@ -192,12 +185,11 @@ def find_mpss(tech: Technology, ray_bundle: InputBundle) -> MpssResult:
     if ray_bundle.capital <= 0.0 or ray_bundle.labor <= 0.0:
         raise DomainError("scale search requires strictly positive capital and labor")
     if not (isinstance(tech, HomotheticTranslog) and tech.curvature < 0.0):
-        eps_lo = tech.scale_elasticity(ray_bundle.scaled(math.exp(-_LOG_SCALE_BRACKET)))
-        eps_hi = tech.scale_elasticity(ray_bundle.scaled(math.exp(_LOG_SCALE_BRACKET)))
+        # every other family's elasticity is constant along a ray; the text quotes it twice
+        eps = tech.scale_elasticity(ray_bundle)
         raise NoInteriorMpssError(
             "no interior most-productive scale: scale elasticity does not cross 1 "
-            f"along this ray (elasticity {eps_lo!r} at the lower bracket, "
-            f"{eps_hi!r} at the upper)"
+            f"along this ray (elasticity {eps!r} at the lower bracket, {eps!r} at the upper)"
         )
     x_star = (1.0 - tech.slope) / (2.0 * tech.curvature) - tech._log_core_index(ray_bundle)
     try:

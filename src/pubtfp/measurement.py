@@ -22,29 +22,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import _EXPORTS
 from .errors import InvalidParameterError
 from .technology import FactorPrices, InputBundle, Technology
 
-__all__ = [
-    "COST_BASED_VA",
-    "COST_WEIGHTED_INDEX",
-    "DISTORTED_REVENUE",
-    "CONVENTIONS",
-    "OutputShare",
-    "OutputMix",
-    "PricedOutput",
-    "PricingScheme",
-    "MeasuredTfp",
-    "Proposition1Report",
-    "cost_based_value_added",
-    "measured_tfp_cost_based",
-    "unit_costs_from_allocation",
-    "cost_weighted_output",
-    "measured_tfp_cost_weighted",
-    "verify_proposition1",
-    "revenue",
-    "measured_tfp_revenue",
-]
+__all__ = [*_EXPORTS["measurement"], "CONVENTIONS"]
 
 COST_BASED_VA = "CostBasedVA"
 COST_WEIGHTED_INDEX = "CostWeightedIndex"

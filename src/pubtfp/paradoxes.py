@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from os import PathLike
 from typing import Callable, Iterable, NamedTuple, Union
 
+from . import _EXPORTS
 from .efficiency import _check_gap_domain, apply_technical_progress, find_mpss, min_cost_bundle
 from .efficiency import allocative_gap  # unused here; perfbench's tracer patches it on this module
 from .errors import (
@@ -50,23 +51,7 @@ from .technology import (
     true_tfp,
 )
 
-__all__ = [
-    "PARADOX_IDS",
-    "WELFARE_IMPROVED",
-    "WELFARE_UNCHANGED",
-    "EconomyState",
-    "Scenario",
-    "FailedScenario",
-    "ParadoxReport",
-    "ScenarioOutcome",
-    "run_paradox_1",
-    "run_paradox_2",
-    "run_paradox_3",
-    "run_paradox_4",
-    "run_paradox_5",
-    "run_scenario",
-    "run_all",
-]
+__all__ = [*_EXPORTS["paradoxes"], "PARADOX_IDS", "WELFARE_IMPROVED", "WELFARE_UNCHANGED"]
 
 PARADOX_IDS = (1, 2, 3, 4, 5)
 
@@ -253,7 +238,8 @@ def run_paradox_3(
         return _compare(3, before, before, WELFARE_UNCHANGED, {"mpss_scale_factor": 1.0})
 
     bill = cost_based_value_added(prices, mpss.bundle_at_mpss)
-    if not 0.0 < bill < math.inf:
+    # the bill and the measured TFP there, bill / output, must both be positive floats
+    if not (0.0 < bill < math.inf and 0.0 < bill / mpss.output < math.inf):
         raise DomainError(
             "most productive scale size is out of float range: "
             f"ln scale {math.log(mpss.scale_factor)!r} (factor bill {bill!r})"

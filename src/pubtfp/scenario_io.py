@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import yaml
 
+from . import _EXPORTS
 from .errors import PubTfpError, ScenarioError, _not_utf8
 from .technology import (
     Ces,
@@ -37,7 +38,7 @@ if TYPE_CHECKING:
     from .measurement import PricingScheme
     from .paradoxes import FailedScenario, Scenario
 
-__all__ = ["load_scenarios", "load_simulation"]
+__all__ = [*_EXPORTS["scenario_io"]]
 
 # libyaml's parser when PyYAML was built with it; both loaders share the
 # Python resolver and SafeConstructor, so they build equal documents.

@@ -31,23 +31,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from . import _EXPORTS
 from .errors import DomainError, InvalidParameterError
 
-__all__ = [
-    "InputBundle",
-    "FactorPrices",
-    "TechnologyShift",
-    "Technology",
-    "CobbDouglas",
-    "Ces",
-    "HomotheticTranslog",
-    "TwoLevelCes",
-    "evaluate",
-    "marginal_products",
-    "mrts",
-    "scale_elasticity",
-    "true_tfp",
-]
+__all__ = [*_EXPORTS["technology"]]
 
 
 def _require_finite(name: str, value: float) -> float:

@@ -728,6 +728,96 @@ simulation:
         assert not (tmp_path / "panel.csv").exists()
 
 
+class TestSimulationLoadErrorsNameTheConfig:
+    """A record or spec rejected while reading the config ends with the config file, exit 1."""
+
+    @pytest.mark.parametrize(
+        "edits, problem",
+        [
+            (
+                [("bundle: {capital: 1.0", "bundle: {capital: -1.0")],
+                "capital must be nonnegative, got -1.0",
+            ),
+            (
+                [("{family: cobb-douglas, alpha_capital: 0.3, alpha_labor: 0.7}",
+                  "{family: ces, capital_weight: 1.5, substitution: 0.5}")],
+                "capital_weight must lie in (0, 1), got 1.5",
+            ),
+            (
+                [("  years: 26\n", ""),
+                 ("bundle: {capital: 1.0, labor: 1.0}",
+                  "capital: [1.0, -2.0, 1.0]\n  labor: [1.0, 1.0, 1.0]")],
+                "capital path must be strictly positive throughout",
+            ),
+            (
+                [("convention: sna-cost", "convention: bogus")],
+                "convention must be one of ('sna-cost', 'market'), got 'bogus'",
+            ),
+        ],
+        ids=["bundle", "technology", "capital-path", "convention"],
+    )
+    def test_rejected_record_names_the_config_file(self, tmp_path, capsys, edits, problem):
+        text = SIMULATION_FILE.read_text(encoding="utf-8")
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        config = tmp_path / "sim.yaml"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "p.csv"
+        assert main(["simulate", "--input", str(config), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"pubtfp: {problem} (simulation config {config})\n"
+        assert not out.exists()
+
+    def test_scenario_errors_keep_only_their_path_prefix(self, tmp_path, capsys):
+        config = tmp_path / "sim.yaml"
+        config.write_text("simulation: {convention: sna-cost, start_year: 1995}\n", encoding="utf-8")
+        out = tmp_path / "p.csv"
+        assert main(["simulate", "--input", str(config), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"pubtfp: {config}: simulation is missing keys ['technology']\n"
+        )
+
+
+class TestLogLevel:
+    """PUBTFP_LOG_LEVEL sets the root level; the package logs only renormalization warnings."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        # nu = 0.9 under market: the simulated shares sum to 0.9 and each year warns
+        config = tmp_path / "sim.yaml"
+        config.write_text(
+            SIMULATION_FILE.read_text(encoding="utf-8")
+            .replace("sna-cost", "market")
+            .replace("years: 26", "years: 3")
+            .replace(
+                "{family: cobb-douglas, alpha_capital: 0.3, alpha_labor: 0.7}",
+                "{family: ces, capital_weight: 0.4, substitution: -1.0, returns_to_scale: 0.9}",
+            ),
+            encoding="utf-8",
+        )
+        return config
+
+    @pytest.mark.parametrize("level", [None, "no-such-level", "info"])
+    def test_the_warning_shows_at_warning_and_below(self, tmp_path, monkeypatch, config, level):
+        if level is None:
+            monkeypatch.delenv("PUBTFP_LOG_LEVEL", raising=False)
+        else:
+            monkeypatch.setenv("PUBTFP_LOG_LEVEL", level)
+        proc = run_cli("simulate", "--input", config, "--output", tmp_path / "p.csv")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"WARNING pubtfp.accounting: factor shares for SIM/education/{year} sum to "
+            "0.900000000; renormalizing to 1"
+            for year in (1995, 1996, 1997)
+        ]
+
+    def test_error_silences_the_warning(self, tmp_path, monkeypatch, config):
+        monkeypatch.setenv("PUBTFP_LOG_LEVEL", "ERROR")
+        proc = run_cli("simulate", "--input", config, "--output", tmp_path / "p.csv")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+
 class TestEverySimulatedRowFailureNamesItsRow:
     """Any failure while simulating one year, not only a rejected panel row, names
     the series, the year and the config file; its exit code is unchanged."""

@@ -166,6 +166,14 @@ class TestTranslogMinCost:
             ceiling * 0.99, rel=1e-9
         )
 
+    def test_flat_translog_reaches_the_isoquant_exactly(self):
+        # curvature 0: the isoquant's log core index is ln(target)/slope, no quadratic root
+        flat = HomotheticTranslog(inner_alpha_capital=0.3, slope=1.1, curvature=0.0)
+        target = evaluate(flat, InputBundle(3.0, 1.0))
+        result = min_cost_bundle(flat, FactorPrices(1.0, 2.0), target)
+        assert evaluate(flat, result.bundle) == target
+        assert mrts(flat, result.bundle) == pytest.approx(0.5, rel=1e-15)
+
     def test_unsupported_family_is_refused(self):
         nested = TwoLevelCes(
             capital_weight=0.4,

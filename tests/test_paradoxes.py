@@ -92,6 +92,12 @@ class TestAllocativeParadox:
         assert report.welfare_direction == WELFARE_IMPROVED
         assert report.paradox_confirmed
 
+    def test_flat_translog_is_confirmed(self):
+        flat = HomotheticTranslog(inner_alpha_capital=0.3, slope=1.1, curvature=0.0)
+        report = run_paradox_2(flat, FactorPrices(1.0, 2.0), InputBundle(3.0, 1.0))
+        assert report.paradox_confirmed
+        assert report.details["allocative_gap"] == pytest.approx(0.8321131104120489, rel=1e-12)
+
     def test_measured_ratio_equals_the_allocative_gap(self):
         report = run_paradox_2(CD37, FactorPrices(2.0, 1.0), UNIT_BUNDLE)
         ratio = report.measured_after / report.measured_before
@@ -262,6 +268,33 @@ class TestScaleParadox:
             run_paradox_3(tech, prices, bundle)
         assert type(info.value) is DomainError and str(info.value) == text
         (outcome,) = run_all([Scenario("far", 3, tech, bundle, prices=prices)])
+        assert (outcome.error, outcome.error_kind) == (text, "input")
+
+    def test_measured_tfp_out_of_float_range_is_an_input_error(self):
+        # x* = 10: the bill 4.4e-296 is a float, but bill / output = e^-100 of it is not
+        tech = HomotheticTranslog(inner_alpha_capital=0.5, slope=21.0, curvature=-1.0)
+        prices = FactorPrices(1e-300, 1e-300)
+        text = (
+            "most productive scale size is out of float range: "
+            "ln scale 10.0 (factor bill 4.4052931589613437e-296)"
+        )
+        with pytest.raises(DomainError) as info:
+            run_paradox_3(tech, prices, UNIT_BUNDLE)
+        assert type(info.value) is DomainError and str(info.value) == text
+        (outcome,) = run_all([Scenario("tiny", 3, tech, UNIT_BUNDLE, prices=prices)])
+        assert (outcome.error, outcome.error_kind) == (text, "input")
+
+    @pytest.mark.parametrize("capital", [1e-320, 1e300], ids=["subnormal", "huge"])
+    def test_constant_elasticity_ray_at_the_float_edges_has_no_interior_scale(self, capital):
+        bundle = InputBundle(capital, 1.0)
+        text = (
+            "no interior most-productive scale: scale elasticity does not cross 1 along this "
+            "ray (elasticity 1.0 at the lower bracket, 1.0 at the upper)"
+        )
+        with pytest.raises(NoInteriorMpssError) as info:
+            run_paradox_3(CD37, UNIT_PRICES, bundle)
+        assert str(info.value) == text
+        (outcome,) = run_all([Scenario("edge", 3, CD37, bundle, prices=UNIT_PRICES)])
         assert (outcome.error, outcome.error_kind) == (text, "input")
 
     def test_constant_elasticity_technology_has_no_scale_move(self):

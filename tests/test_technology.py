@@ -257,6 +257,21 @@ class TestTwoLevelCes:
     def test_scale_elasticity_is_degree(self):
         assert scale_elasticity(self.tech, InputBundle(1.0, 1.0, 1.0)) == 0.95
 
+    def test_zero_input_is_fatal_only_with_poor_substitutes(self):
+        # rho1 < 0: no capital zeroes the aggregate h, but rho2 > 0 lets M still produce
+        assert evaluate(self.tech, InputBundle(0.0, 3.0, 1.4)) == pytest.approx(
+            1.2 * (0.3 * 1.4**0.5) ** (0.95 / 0.5), rel=1e-14
+        )
+        # rho2 < 0: a zero h or a zero M zeroes output
+        complements = TwoLevelCes(
+            capital_weight=0.4,
+            inner_substitution=-1.0,
+            value_added_weight=0.7,
+            outer_substitution=-0.5,
+        )
+        assert evaluate(complements, InputBundle(0.0, 3.0, 1.4)) == 0.0
+        assert evaluate(complements, InputBundle(2.0, 3.0, 0.0)) == 0.0
+
     def test_marginal_products_need_positive_intermediates(self):
         with pytest.raises(DomainError):
             marginal_products(self.tech, InputBundle(1.0, 1.0))
