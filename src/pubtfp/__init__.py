@@ -55,6 +55,11 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
+# a report row's vocabulary; ``report`` checks rows against it without loading the solvers
+_PARADOX_IDS = (1, 2, 3, 4, 5)
+_CONVENTIONS = ("CostBasedVA", "CostWeightedIndex", "DistortedRevenue")
+_WELFARE_DIRECTIONS = ("improved", "unchanged-productivity")
+
 __all__ = ["__version__", *_HOME]
 
 

@@ -39,6 +39,7 @@ from .errors import (
     SeriesError,
     _csv_cells,
     _not_utf8,
+    _positive,
     _write_csv,
 )
 
@@ -89,12 +90,7 @@ class PanelObservation:
             and 0.0 < capital < math.inf and 0.0 < labor < math.inf
         ):
             for name in ("va_nominal", "va_deflator", "capital_services", "labor_input"):
-                value = getattr(self, name)
-                if type(value) is not float:
-                    value = float(value)
-                    object.__setattr__(self, name, value)
-                if not 0.0 < value < math.inf:
-                    raise InvalidParameterError(f"{name} must be strictly positive, got {value!r}")
+                object.__setattr__(self, name, _positive(name, getattr(self, name)))
         if not 0.0 < self.va_nominal / self.va_deflator < math.inf:
             raise InvalidParameterError(
                 f"real value added va_nominal / va_deflator must be finite and positive, "

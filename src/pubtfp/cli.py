@@ -26,7 +26,7 @@ from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from . import _HOME
+from . import _CONVENTIONS, _HOME, _PARADOX_IDS, _WELFARE_DIRECTIONS
 from .errors import (
     NoConvergenceError, PubTfpError, ScenarioError, SeriesError, _csv_cells, _not_utf8, _write_csv,
 )
@@ -73,20 +73,16 @@ REPORT_COLUMNS = (
     "error",
 )
 PLOT_COLUMNS = ("year", "series", "value")
-# The cells a verdict row (one without an error) must hold, and how to say so, in
-# the order they are checked; the ids, conventions and welfare directions are
-# paradoxes.PARADOX_IDS, measurement.CONVENTIONS and the paradoxes.WELFARE_*
-# values, spelt out as ``report`` loads no solver
+
+# the cells a verdict row (one without an error) must hold and how to say so, in check order
 _VERDICT_CELLS = {
-    "paradox_id": (frozenset({"1", "2", "3", "4", "5"}), "1-5"),
-    "confirmed": (frozenset({"true", "false"}), "true or false"),
-    "convention": (
-        frozenset({"CostBasedVA", "CostWeightedIndex", "DistortedRevenue"}),
-        "CostBasedVA, CostWeightedIndex or DistortedRevenue",
-    ),
-    "welfare_direction": (
-        frozenset({"improved", "unchanged-productivity"}), "improved or unchanged-productivity"
-    ),
+    column: (frozenset(cells), wording or f"{', '.join(cells[:-1])} or {cells[-1]}")
+    for column, cells, wording in (
+        ("paradox_id", [*map(str, _PARADOX_IDS)], f"{_PARADOX_IDS[0]}-{_PARADOX_IDS[-1]}"),
+        ("confirmed", ["true", "false"], None),
+        ("convention", _CONVENTIONS, None),
+        ("welfare_direction", _WELFARE_DIRECTIONS, None),
+    )
 }
 _VERDICT_NUMBERS = ("measured_before", "measured_after", "true_before", "true_after")
 
@@ -345,10 +341,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (NoConvergenceError, ArithmeticError) as exc:
         print(f"pubtfp: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
-    except PubTfpError as exc:
-        print(f"pubtfp: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (PubTfpError, OSError) as exc:
         print(f"pubtfp: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

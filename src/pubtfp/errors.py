@@ -7,6 +7,7 @@ maps everything except solver/internal failures to exit code 1.
 
 import csv
 import io
+import math as _math  # underscored: with no __all__ here, a star import takes every public name
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -57,6 +58,15 @@ class SeriesError(PubTfpError):
 
 class MissingBaseYearError(SeriesError):
     """The requested base year is absent from a series."""
+
+
+def _positive(name: str, value: float) -> float:
+    """``value`` as a float, which must be finite and strictly positive."""
+    if type(value) is not float:
+        value = float(value)
+    if not _math.isfinite(value) or value <= 0.0:
+        raise InvalidParameterError(f"{name} must be strictly positive, got {value!r}")
+    return value
 
 
 def _not_utf8(path: Path) -> str:

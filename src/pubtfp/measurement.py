@@ -22,27 +22,16 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import _EXPORTS
-from .errors import InvalidParameterError
+from . import _CONVENTIONS as CONVENTIONS, _EXPORTS
+from .errors import InvalidParameterError, _positive
 from .technology import FactorPrices, InputBundle, Technology
 
 __all__ = [*_EXPORTS["measurement"], "CONVENTIONS"]
 
-COST_BASED_VA = "CostBasedVA"
-COST_WEIGHTED_INDEX = "CostWeightedIndex"
-DISTORTED_REVENUE = "DistortedRevenue"
-CONVENTIONS = (COST_BASED_VA, COST_WEIGHTED_INDEX, DISTORTED_REVENUE)
+COST_BASED_VA, COST_WEIGHTED_INDEX, DISTORTED_REVENUE = CONVENTIONS
 
 _SHARE_SUM_TOL = 1e-9  # absolute, on sum(cost shares) - coverage
 _PROP1_REL_TOL = 1e-12
-
-
-def _positive(name: str, value: float) -> float:
-    if type(value) is not float:
-        value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise InvalidParameterError(f"{name} must be strictly positive, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from os import PathLike
 from typing import Callable, Iterable, NamedTuple, Union
 
-from . import _EXPORTS
+from . import _EXPORTS, _PARADOX_IDS as PARADOX_IDS, _WELFARE_DIRECTIONS
 from .efficiency import _check_gap_domain, apply_technical_progress, find_mpss, min_cost_bundle
 from .efficiency import allocative_gap  # unused here; perfbench's tracer patches it on this module
 from .errors import (
@@ -53,10 +53,7 @@ from .technology import (
 
 __all__ = [*_EXPORTS["paradoxes"], "PARADOX_IDS", "WELFARE_IMPROVED", "WELFARE_UNCHANGED"]
 
-PARADOX_IDS = (1, 2, 3, 4, 5)
-
-WELFARE_IMPROVED = "improved"
-WELFARE_UNCHANGED = "unchanged-productivity"
+WELFARE_IMPROVED, WELFARE_UNCHANGED = _WELFARE_DIRECTIONS
 
 
 # a bundle whose allocative gap is within this of 1 is already cost-minimizing

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, fields
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -126,14 +126,6 @@ def _technology(value: Any, where: str) -> Technology:
     return _record(_FAMILIES[family], params, where)
 
 
-def _bundle(value: Any, where: str) -> InputBundle:
-    return _record(InputBundle, value, where)
-
-
-def _prices(value: Any, where: str) -> FactorPrices:
-    return _record(FactorPrices, value, where)
-
-
 def _pricing(value: Any, where: str) -> PricingScheme:
     from .measurement import PricedOutput, PricingScheme  # simulation configs need neither
     if not isinstance(value, list) or not value:
@@ -150,9 +142,9 @@ _SCENARIO_KEYS: dict[str, tuple[str, Callable[[Any, str], Any]]] = {
     "paradox": ("paradox_id", _integer),
     "shift_factor": ("shift", lambda value, where: TechnologyShift(_number(value, where))),
     "technology": ("technology", _technology),
-    "bundle": ("bundle", _bundle),
-    "prices": ("prices", _prices),
-    "prices_after": ("prices_after", _prices),
+    "bundle": ("bundle", partial(_record, InputBundle)),
+    "prices": ("prices", partial(_record, FactorPrices)),
+    "prices_after": ("prices_after", partial(_record, FactorPrices)),
     "outputs": ("pricing", _pricing),
     "markups_after": ("markups_after", _number_list),
     "description": ("description", _string),

@@ -59,6 +59,22 @@ def _require_nonnegative(name: str, value: float) -> float:
     return value
 
 
+def _require_weight(name: str, value: float) -> float:
+    value = _require_finite(name, value)
+    if not 0.0 < value < 1.0:
+        raise InvalidParameterError(f"{name} must lie in (0, 1), got {value!r}")
+    return value
+
+
+def _require_substitution(name: str, value: float) -> float:
+    value = _require_finite(name, value)
+    if value == 0.0 or value >= 1.0:
+        raise InvalidParameterError(
+            f"{name} must lie in (-inf, 1) and differ from 0, got {value!r}"
+        )
+    return value
+
+
 def _keep(record: object, name: str, check: Callable[[str, float], float]) -> float:
     """Validate a frozen record's field with ``check`` and store the float it returns."""
     value = check(name, getattr(record, name))
@@ -69,6 +85,13 @@ def _keep(record: object, name: str, check: Callable[[str, float], float]) -> fl
 def _ces_sum(weight: float, a: float, b: float, rho: float) -> float:
     """The CES aggregator's inner sum weight*a^rho + (1-weight)*b^rho."""
     return weight * a ** rho + (1.0 - weight) * b ** rho
+
+
+def _ces(weight: float, a: float, b: float, rho: float, degree: float) -> float:
+    """The degree-``degree`` CES aggregate of a and b; under rho < 0 both are essential."""
+    if rho < 0.0 and (a == 0.0 or b == 0.0):
+        return 0.0
+    return _ces_sum(weight, a, b, rho) ** (degree / rho)
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,24 +263,15 @@ class Ces(Technology):
     family = "ces"
 
     def __post_init__(self) -> None:
-        w = _keep(self, "capital_weight", _require_finite)
-        if not 0.0 < w < 1.0:
-            raise InvalidParameterError(f"capital_weight must lie in (0, 1), got {w!r}")
-        rho = _keep(self, "substitution", _require_finite)
-        if rho == 0.0 or rho >= 1.0:
-            raise InvalidParameterError(
-                f"substitution must lie in (-inf, 1) and differ from 0, got {rho!r}"
-            )
+        _keep(self, "capital_weight", _require_weight)
+        _keep(self, "substitution", _require_substitution)
         _keep(self, "returns_to_scale", _require_positive)
         _keep(self, "level", _require_positive)
 
     def core_output(self, bundle: InputBundle) -> float:
         self._check_bundle(bundle)
-        rho = self.substitution
-        if rho < 0.0 and (bundle.capital == 0.0 or bundle.labor == 0.0):
-            return 0.0  # both inputs essential under rho < 0
-        inner = _ces_sum(self.capital_weight, bundle.capital, bundle.labor, rho)
-        return inner ** (self.returns_to_scale / rho)
+        rho, degree = self.substitution, self.returns_to_scale
+        return _ces(self.capital_weight, bundle.capital, bundle.labor, rho, degree)
 
     def marginal_products(self, bundle: InputBundle) -> tuple[float, float]:
         self._check_interior(bundle)
@@ -292,9 +306,7 @@ class HomotheticTranslog(Technology):
     family = "homothetic-translog"
 
     def __post_init__(self) -> None:
-        a = _keep(self, "inner_alpha_capital", _require_finite)
-        if not 0.0 < a < 1.0:
-            raise InvalidParameterError(f"inner_alpha_capital must lie in (0, 1), got {a!r}")
+        _keep(self, "inner_alpha_capital", _require_weight)
         _keep(self, "slope", _require_positive)
         c = _keep(self, "curvature", _require_finite)
         if c > 0.0:
@@ -351,15 +363,9 @@ class TwoLevelCes(Technology):
 
     def __post_init__(self) -> None:
         for name in ("capital_weight", "value_added_weight"):
-            w = _keep(self, name, _require_finite)
-            if not 0.0 < w < 1.0:
-                raise InvalidParameterError(f"{name} must lie in (0, 1), got {w!r}")
+            _keep(self, name, _require_weight)
         for name in ("inner_substitution", "outer_substitution"):
-            rho = _keep(self, name, _require_finite)
-            if rho == 0.0 or rho >= 1.0:
-                raise InvalidParameterError(
-                    f"{name} must lie in (-inf, 1) and differ from 0, got {rho!r}"
-                )
+            _keep(self, name, _require_substitution)
         _keep(self, "returns_to_scale", _require_positive)
         _keep(self, "level", _require_positive)
 
@@ -368,21 +374,12 @@ class TwoLevelCes(Technology):
         return True
 
     def _aggregate(self, bundle: InputBundle) -> float:
-        rho1 = self.inner_substitution
-        if rho1 < 0.0 and (bundle.capital == 0.0 or bundle.labor == 0.0):
-            return 0.0
-        inner = _ces_sum(self.capital_weight, bundle.capital, bundle.labor, rho1)
-        return inner ** (1.0 / rho1)
+        return _ces(self.capital_weight, bundle.capital, bundle.labor, self.inner_substitution, 1.0)
 
     def core_output(self, bundle: InputBundle) -> float:
         self._check_bundle(bundle)
-        h = self._aggregate(bundle)
-        m = bundle.intermediates
-        rho2 = self.outer_substitution
-        if rho2 < 0.0 and (h == 0.0 or m == 0.0):
-            return 0.0
-        outer = _ces_sum(self.value_added_weight, h, m, rho2)
-        return outer ** (self.returns_to_scale / rho2)
+        h, rho, degree = self._aggregate(bundle), self.outer_substitution, self.returns_to_scale
+        return _ces(self.value_added_weight, h, bundle.intermediates, rho, degree)
 
     def marginal_products(self, bundle: InputBundle) -> tuple[float, float]:
         self._check_interior(bundle)
