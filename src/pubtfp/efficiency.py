@@ -184,12 +184,14 @@ def find_mpss(tech: Technology, ray_bundle: InputBundle) -> MpssResult:
     """
     if ray_bundle.capital <= 0.0 or ray_bundle.labor <= 0.0:
         raise DomainError("scale search requires strictly positive capital and labor")
+    m = ray_bundle.intermediates
+    if tech.uses_intermediates and (m is None or m <= 0.0):
+        raise DomainError("scale search requires strictly positive intermediates")
     if not (isinstance(tech, HomotheticTranslog) and tech.curvature < 0.0):
-        # every other family's elasticity is constant along a ray; the text quotes it twice
-        eps = tech.scale_elasticity(ray_bundle)
+        # every other family's elasticity is constant along a ray
         raise NoInteriorMpssError(
-            "no interior most-productive scale: scale elasticity does not cross 1 "
-            f"along this ray (elasticity {eps!r} at the lower bracket, {eps!r} at the upper)"
+            "no interior most-productive scale: scale elasticity is "
+            f"{tech.scale_elasticity(ray_bundle)!r} all along this ray"
         )
     x_star = (1.0 - tech.slope) / (2.0 * tech.curvature) - tech._log_core_index(ray_bundle)
     try:

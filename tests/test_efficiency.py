@@ -294,12 +294,11 @@ class TestFindMpss:
         with pytest.raises(DomainError):
             find_mpss(self.tech, InputBundle(0.0, 1.0))
 
-    def test_missing_optimum_is_worded_by_the_elasticities_at_e_to_the_20(self):
+    def test_missing_optimum_is_worded_by_the_constant_elasticity(self):
         with pytest.raises(NoInteriorMpssError) as info:
             find_mpss(Ces(capital_weight=0.4, substitution=-1.0, returns_to_scale=0.9), UNIT_BUNDLE)
         assert str(info.value) == (
-            "no interior most-productive scale: scale elasticity does not cross 1 along this "
-            "ray (elasticity 0.9 at the lower bracket, 0.9 at the upper)"
+            "no interior most-productive scale: scale elasticity is 0.9 all along this ray"
         )
 
     def test_optimum_far_beyond_e_to_the_20_is_found(self):

@@ -346,10 +346,10 @@ def test_paradox_batch_through_the_paradox_command(paradox_batch_file, capsys):
         "report written to report.csv"
     )
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == (
-        "0e758626cc44dd151ed64196ae618fe974f9ff3ce2ef30a71d50890fd0fe1dc3"
+        "f6e37e1f5780c263efefa0aedb08d572fb0fa78c5e0326e9de01e019406d4c1a"
     )
     assert sha256(Path("report.csv")) == (
-        "2e4320aba5289f9d0702a80891977fcabf931c5594381f247470864124b12d1c"
+        "8c9474bbf9a44fa4f3fa94ff554d4cc0cde268d9b1ab608321a5cdcfd54de094"
     )
 
     outcomes = run_all("batch.yaml")
@@ -374,5 +374,5 @@ def test_report_command_on_a_mixed_report(paradox_batch_file, capsys):
         "2500 scenario(s): 1300 confirmed, 100 not confirmed, 1100 failed"
     )
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == (
-        "51817c815916985a9174f81f25b9f6f4ac23645488ec3a8ad5842bf3a8380698"
+        "e32b6da55123d1889711406bf193352af9ff41d736c1366efe5f885075843d2a"
     )

@@ -36,6 +36,7 @@ from pubtfp.technology import (
     HomotheticTranslog,
     InputBundle,
     TechnologyShift,
+    TwoLevelCes,
 )
 
 UNIT_PRICES = FactorPrices(1.0, 1.0)
@@ -287,14 +288,25 @@ class TestScaleParadox:
     @pytest.mark.parametrize("capital", [1e-320, 1e300], ids=["subnormal", "huge"])
     def test_constant_elasticity_ray_at_the_float_edges_has_no_interior_scale(self, capital):
         bundle = InputBundle(capital, 1.0)
-        text = (
-            "no interior most-productive scale: scale elasticity does not cross 1 along this "
-            "ray (elasticity 1.0 at the lower bracket, 1.0 at the upper)"
-        )
+        text = "no interior most-productive scale: scale elasticity is 1.0 all along this ray"
         with pytest.raises(NoInteriorMpssError) as info:
             run_paradox_3(CD37, UNIT_PRICES, bundle)
         assert str(info.value) == text
         (outcome,) = run_all([Scenario("edge", 3, CD37, bundle, prices=UNIT_PRICES)])
+        assert (outcome.error, outcome.error_kind) == (text, "input")
+
+    @pytest.mark.parametrize(
+        "tech", [TwoLevelCes(0.4, -1.0, 0.7, 0.5), GROSS_CD], ids=["two-level-ces", "cobb-douglas"]
+    )
+    @pytest.mark.parametrize("bundle", [UNIT_BUNDLE, InputBundle(1.0, 1.0, 0.0)], ids=["none", "0"])
+    def test_gross_output_ray_without_intermediates_is_refused_by_the_scale_search(
+        self, tech, bundle
+    ):
+        text = "scale search requires strictly positive intermediates"
+        with pytest.raises(DomainError) as info:
+            run_paradox_3(tech, UNIT_PRICES, bundle)
+        assert str(info.value) == text
+        (outcome,) = run_all([Scenario("no-m", 3, tech, bundle, prices=UNIT_PRICES)])
         assert (outcome.error, outcome.error_kind) == (text, "input")
 
     def test_constant_elasticity_technology_has_no_scale_move(self):
