@@ -73,7 +73,6 @@ REPORT_COLUMNS = (
     "error",
 )
 PLOT_COLUMNS = ("year", "series", "value")
-
 # the cells a verdict row (one without an error) must hold and how to say so, in check order
 _VERDICT_CELLS = {
     column: (frozenset(cells), wording or f"{', '.join(cells[:-1])} or {cells[-1]}")
