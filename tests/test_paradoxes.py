@@ -79,6 +79,25 @@ class TestTechnicalProgressParadox:
         assert report.before.prices == report.after.prices
 
 
+    # a frontier out of float range fails as the measurement's denominator,
+    # before the shift (level 1e300 at core 1e10) or only after it (core 1e7)
+    @pytest.mark.parametrize(
+        "bundle, text",
+        [
+            (InputBundle(1e10, 1e10), "denominator must be strictly positive, got inf"),
+            (InputBundle(1e7, 1e7), "denominator must be strictly positive, got inf"),
+            (InputBundle(0.0, 1.0), "denominator must be strictly positive, got 0.0"),
+        ],
+        ids=["overflow-before", "overflow-after-the-shift", "zero-output"],
+    )
+    def test_frontier_out_of_range_is_an_invalid_denominator(self, bundle, text):
+        tech = CobbDouglas(alpha_capital=0.5, alpha_labor=0.5, level=1e300)
+        with pytest.raises(InvalidParameterError) as info:
+            run_paradox_1(tech, bundle, UNIT_PRICES, TechnologyShift(100.0))
+        assert type(info.value) is InvalidParameterError
+        assert str(info.value) == text
+
+
 class TestAllocativeParadox:
     symmetric = CobbDouglas(alpha_capital=0.5, alpha_labor=0.5)
 
@@ -160,6 +179,12 @@ class TestAllocativeParadox:
                 id="output-underflow",
             ),
             pytest.param(
+                HomotheticTranslog(inner_alpha_capital=0.5, slope=1.2, curvature=-1.0),
+                UNIT_PRICES, InputBundle(1e-30, 1e-30),
+                DomainError, "target output must be strictly positive, got 0.0",
+                id="translog-output-underflow",
+            ),
+            pytest.param(
                 Ces(capital_weight=0.4, substitution=-1.0), FactorPrices(1e40, 1e-5),
                 UNIT_BUNDLE,
                 NoConvergenceError,
@@ -181,6 +206,13 @@ class TestAllocativeParadox:
                 "cost minimizer left the isoquant: "
                 "output 0.9976313732532592 for target 0.9976302656605534",
                 id="tight-identity-check",
+            ),
+            pytest.param(
+                # every guard passes; the factor bill over a tiny frontier overflows
+                CobbDouglas(alpha_capital=0.5, alpha_labor=0.5, level=1e-300),
+                FactorPrices(1e300, 1.0), InputBundle(4.0, 1.0),
+                InvalidParameterError, "value must be strictly positive, got inf",
+                id="measured-tfp-overflow",
             ),
         ],
     )
@@ -380,6 +412,15 @@ class TestInputPriceParadox:
         with pytest.raises(PricesNotDominatedError):
             run_paradox_4(CD37, UNIT_BUNDLE, UNIT_PRICES, FactorPrices(0.5, 1.2))
 
+    def test_measured_tfp_underflow_after_the_drop_is_an_input_error(self):
+        tech = CobbDouglas(alpha_capital=0.5, alpha_labor=0.5, level=1e300)
+        with pytest.raises(InvalidParameterError) as info:
+            run_paradox_4(
+                tech, InputBundle(1e-10, 1e-10), FactorPrices(1e-300, 1e-300),
+                FactorPrices(1e-310, 1e-310),
+            )
+        assert str(info.value) == "value must be strictly positive, got 0.0"
+
 
 class TestMarkupParadox:
     def test_canonical_markup_cut(self):
@@ -405,6 +446,12 @@ class TestMarkupParadox:
         partial = SCHEME.with_markups([0.1, 0.1])
         with pytest.raises(MarkupNotReducedError):
             run_paradox_5(SCHEME, partial, GROSS_CD, GROSS_BUNDLE)
+
+    def test_frontier_overflow_is_an_invalid_denominator(self):
+        tech = CobbDouglas(alpha_capital=0.5, alpha_labor=0.5, level=1e300)
+        with pytest.raises(InvalidParameterError) as info:
+            run_paradox_5(SCHEME, SCHEME.with_markups([0.1, 0.05]), tech, InputBundle(1e10, 1e10))
+        assert str(info.value) == "denominator must be strictly positive, got inf"
 
     def test_production_side_must_be_unchanged(self):
         other_cost = PricingScheme(
