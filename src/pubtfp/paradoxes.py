@@ -13,7 +13,10 @@ shows that measured TFP under the relevant cost-based convention falls:
 The runners compute measured and true TFP before and after, guard the
 preconditions that make each comparison meaningful, and return a
 :class:`ParadoxReport` whose ``paradox_confirmed`` property states the
-paradox: measured TFP fell.
+paradox: measured TFP fell. Each run evaluates the level-free frontier
+core(x) once per bundle: measured TFP divides by level * core(x) and true
+TFP is that frontier output over core(x), as the library functions
+compute them.
 """
 
 from __future__ import annotations
@@ -37,19 +40,17 @@ from .errors import (
     ScenarioError,
 )
 from .measurement import (
+    COST_BASED_VA,
+    DISTORTED_REVENUE,
     MeasuredTfp,
     PricingScheme,
+    _ratio,
     cost_based_value_added,
-    measured_tfp_cost_based,
-    measured_tfp_revenue,
+    revenue,
 )
-from .technology import (
-    FactorPrices,
-    InputBundle,
-    Technology,
-    TechnologyShift,
-    true_tfp,
-)
+# unused here; perfbench's tracer patches them on this module
+from .measurement import measured_tfp_cost_based, measured_tfp_revenue
+from .technology import FactorPrices, InputBundle, Technology, TechnologyShift
 
 __all__ = [*_EXPORTS["paradoxes"], "PARADOX_IDS", "WELFARE_IMPROVED", "WELFARE_UNCHANGED"]
 
@@ -144,17 +145,25 @@ class ScenarioOutcome:
 
 
 class _Measured(NamedTuple):
-    """An economy state and its measured TFP under the state's convention."""
+    """An economy state, its frontier's core at its bundle, and its measured TFP."""
 
     state: EconomyState
+    core: float
     tfp: MeasuredTfp
 
 
-def _measure(state: EconomyState) -> _Measured:
-    """Distorted revenue for a state that carries pricing, cost-based value added otherwise."""
+def _measure(state: EconomyState, core: float, bill: float | None = None) -> _Measured:
+    """Measured TFP over frontier output level * core, with ``core`` = core(state.bundle).
+
+    Distorted revenue for a state that carries pricing, cost-based value added
+    otherwise: the factor ``bill``, computed here unless the caller has it.
+    """
+    output = state.technology.level * core
     if state.pricing is not None:
-        return _Measured(state, measured_tfp_revenue(state.pricing, state.technology, state.bundle))
-    return _Measured(state, measured_tfp_cost_based(state.prices, state.bundle, state.technology))
+        return _Measured(state, core, _ratio(revenue(state.pricing), output, DISTORTED_REVENUE))
+    if bill is None:
+        bill = cost_based_value_added(state.prices, state.bundle)
+    return _Measured(state, core, _ratio(bill, output, COST_BASED_VA))
 
 
 def _compare(
@@ -164,15 +173,14 @@ def _compare(
     welfare_direction: str,
     details: dict[str, float],
 ) -> ParadoxReport:
-    """Report one before/after pair: the convention and measured TFP come from the measurements."""
-    first, second = before.state, after.state  # each tfp.denominator is its state's f(bundle)
+    """Report one before/after pair; true TFP is frontier output f(bundle) over core(bundle)."""
     return ParadoxReport(
         paradox_id=paradox_id,
         convention=before.tfp.convention,
         measured_before=before.tfp.value,
         measured_after=after.tfp.value,
-        true_tfp_before=true_tfp(before.tfp.denominator, first.technology, first.bundle),
-        true_tfp_after=true_tfp(after.tfp.denominator, second.technology, second.bundle),
+        true_tfp_before=before.tfp.denominator / before.core,
+        true_tfp_after=after.tfp.denominator / after.core,
         welfare_direction=welfare_direction,
         before=before.state,
         after=after.state,
@@ -187,8 +195,10 @@ def run_paradox_1(
     shift: TechnologyShift,
 ) -> ParadoxReport:
     """Technical progress: the frontier rises, spending does not, measured TFP falls."""
-    before = _measure(EconomyState(tech, bundle, prices=prices))
-    after = _measure(EconomyState(apply_technical_progress(tech, shift), bundle, prices=prices))
+    core = tech.core_output(bundle)  # the shift moves only the level
+    before = _measure(EconomyState(tech, bundle, prices=prices), core)
+    progressed = apply_technical_progress(tech, shift)
+    after = _measure(EconomyState(progressed, bundle, prices=prices), core)
     return _compare(1, before, after, WELFARE_IMPROVED, {"shift_factor": shift.factor})
 
 
@@ -199,21 +209,24 @@ def run_paradox_2(
 ) -> ParadoxReport:
     """Allocative improvement: same output from the cost-minimizing mix, found by one solve."""
     _check_gap_domain(tech, initial_bundle)
-    target = tech.output(initial_bundle)
+    core_before = tech.core_output(initial_bundle)
+    target = tech.level * core_before  # a zero target fails the solver's own check first
     best = min_cost_bundle(tech, prices, target)
-    gap = min(best.cost / cost_based_value_added(prices, initial_bundle), 1.0)
+    bill = cost_based_value_added(prices, initial_bundle)
+    gap = min(best.cost / bill, 1.0)
     if gap >= 1.0 - _ALREADY_EFFICIENT:
         raise AlreadyEfficientError(
             f"bundle is already cost-minimizing at these prices (allocative gap {gap!r})"
         )
-    reached = tech.output(best.bundle)
+    core_after = tech.core_output(best.bundle)
+    reached = tech.level * core_after
     if not math.isclose(reached, target, rel_tol=_IDENTITY_REL_TOL, abs_tol=0.0):
         raise NoConvergenceError(
             f"cost minimizer left the isoquant: output {reached!r} for target {target!r}"
         )
 
-    before = _measure(EconomyState(tech, initial_bundle, prices=prices))
-    after = _measure(EconomyState(tech, best.bundle, prices=prices))
+    before = _measure(EconomyState(tech, initial_bundle, prices=prices), core_before, bill)
+    after = _measure(EconomyState(tech, best.bundle, prices=prices), core_after)
     details = {"allocative_gap": gap, "cost_before": before.tfp.numerator, "cost_after": best.cost}
     return _compare(2, before, after, WELFARE_IMPROVED, details)
 
@@ -230,7 +243,7 @@ def run_paradox_3(
     an unconfirmed fixed point (scale factor 1, measurement unchanged).
     """
     mpss = find_mpss(tech, bundle)  # raises unless tech is a translog with curvature < 0
-    before = _measure(EconomyState(tech, bundle, prices=prices))
+    before = _measure(EconomyState(tech, bundle, prices=prices), tech.core_output(bundle))
     if -tech.curvature * math.log(mpss.scale_factor) ** 2 <= 64 * 2.0**-52:
         return _compare(3, before, before, WELFARE_UNCHANGED, {"mpss_scale_factor": 1.0})
 
@@ -241,12 +254,13 @@ def run_paradox_3(
             "most productive scale size is out of float range: "
             f"ln scale {math.log(mpss.scale_factor)!r} (factor bill {bill!r})"
         )
-    after = _measure(EconomyState(tech, mpss.bundle_at_mpss, prices=prices))
+    moved = mpss.bundle_at_mpss
+    after = _measure(EconomyState(tech, moved, prices=prices), tech.core_output(moved), bill)
 
     # the proofs' intermediate inequality: when scaling up, output grows more
     # than proportionally; when scaling down, it shrinks less than
     # proportionally. Both read f(s*b)/f(b) > s.
-    rap_before = before.tfp.denominator  # f(bundle), already evaluated by the measurement
+    rap_before = before.tfp.denominator  # f(bundle), from the measurement's core
     output_ratio = mpss.output / rap_before
     if output_ratio <= mpss.scale_factor:
         raise NoConvergenceError(
@@ -290,8 +304,9 @@ def run_paradox_4(
             f"wage {prices_before.wage!r} -> {prices_after.wage!r}"
         )
 
-    before = _measure(EconomyState(tech, bundle, prices=prices_before))
-    after = _measure(EconomyState(tech, bundle, prices=prices_after))
+    core = tech.core_output(bundle)
+    before = _measure(EconomyState(tech, bundle, prices=prices_before), core)
+    after = _measure(EconomyState(tech, bundle, prices=prices_after), core)
     details = {"cost_before": before.tfp.numerator, "cost_after": after.tfp.numerator}
     return _compare(4, before, after, WELFARE_UNCHANGED, details)
 
@@ -321,8 +336,9 @@ def run_paradox_5(
                 f"got {old.markup!r} -> {new.markup!r}"
             )
 
-    before = _measure(EconomyState(tech, bundle, pricing=pricing_before))
-    after = _measure(EconomyState(tech, bundle, pricing=pricing_after))
+    core = tech.core_output(bundle)
+    before = _measure(EconomyState(tech, bundle, pricing=pricing_before), core)
+    after = _measure(EconomyState(tech, bundle, pricing=pricing_after), core)
     details = {"revenue_before": before.tfp.numerator, "revenue_after": after.tfp.numerator}
     return _compare(5, before, after, WELFARE_UNCHANGED, details)
 

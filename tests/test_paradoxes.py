@@ -257,6 +257,73 @@ class TestSolverCalls:
         assert calls == []
 
 
+FAMILIES = [
+    pytest.param(CD37, UNIT_BUNDLE, id="cobb-douglas"),
+    pytest.param(Ces(capital_weight=0.4, substitution=-0.5), UNIT_BUNDLE, id="ces"),
+    pytest.param(TRANSLOG, UNIT_BUNDLE, id="translog"),
+    pytest.param(TwoLevelCes(0.4, -1.0, 0.7, 0.5), GROSS_BUNDLE, id="two-level-ces"),
+]
+
+
+class TestFrontierEvaluations:
+    """Each run evaluates the level-free frontier core(x) once per bundle it measures.
+
+    Measured TFP divides by level * core(x) and true TFP is that output over
+    core(x), so one evaluation serves both; only the solvers add their own.
+    """
+
+    @pytest.fixture
+    def cores(self, monkeypatch):
+        bundles = []
+        for family in (CobbDouglas, Ces, HomotheticTranslog, TwoLevelCes):
+
+            def counting(tech, bundle, original=family.core_output):
+                bundles.append(bundle)
+                return original(tech, bundle)
+
+            monkeypatch.setattr(family, "core_output", counting)
+        return bundles
+
+    @pytest.mark.parametrize("tech, bundle", FAMILIES)
+    def test_paradox_1_shares_one_core_across_the_shift(self, cores, tech, bundle):
+        run_paradox_1(tech, bundle, UNIT_PRICES, TechnologyShift(1.25))
+        assert cores == [bundle]
+
+    # CES cost minimization also evaluates the frontier on its ray direction
+    @pytest.mark.parametrize(
+        "tech, count",
+        [(CD37, 2), (Ces(capital_weight=0.4, substitution=-0.5), 3), (TRANSLOG, 2)],
+        ids=["cobb-douglas", "ces", "translog"],
+    )
+    def test_paradox_2_evaluates_each_bundle_once(self, cores, tech, count):
+        report = run_paradox_2(tech, FactorPrices(2.0, 1.0), InputBundle(4.0, 1.0))
+        assert len(cores) == count
+        assert cores[0] == report.before.bundle and cores[-1] == report.after.bundle
+
+    def test_paradox_3_evaluates_the_bundle_the_scale_search_and_the_move(self, cores):
+        report = run_paradox_3(TRANSLOG, UNIT_PRICES, UNIT_BUNDLE)
+        moved = report.after.bundle
+        assert cores == [moved, UNIT_BUNDLE, moved]
+
+    def test_paradox_3_fixed_point_evaluates_the_bundle_once(self, cores):
+        # sweep-297-00124: the move's gain is within 64 ulps
+        tech = HomotheticTranslog(0.6381, 1.1025, -0.1133, 1.2444)
+        bundle = InputBundle(1.4876, 1.7326)
+        report = run_paradox_3(tech, FactorPrices(1.5502, 1.3202), bundle)
+        assert report.details == {"mpss_scale_factor": 1.0}
+        assert len(cores) == 2 and cores[1] == bundle
+
+    @pytest.mark.parametrize("tech, bundle", FAMILIES)
+    def test_paradox_4_shares_one_core_across_the_prices(self, cores, tech, bundle):
+        run_paradox_4(tech, bundle, UNIT_PRICES, FactorPrices(0.8, 0.9, 1.0))
+        assert cores == [bundle]
+
+    @pytest.mark.parametrize("tech, bundle", FAMILIES)
+    def test_paradox_5_shares_one_core_across_the_markups(self, cores, tech, bundle):
+        run_paradox_5(SCHEME, SCHEME.with_markups([0.1, 0.05]), tech, bundle)
+        assert cores == [bundle]
+
+
 class TestScaleParadox:
     def test_canonical_scale_up(self):
         report = run_paradox_3(TRANSLOG, UNIT_PRICES, UNIT_BUNDLE)
