@@ -84,6 +84,10 @@ _VERDICT_CELLS = {
     )
 }
 _VERDICT_NUMBERS = ("measured_before", "measured_after", "true_before", "true_after")
+# an error row's paradox id may also be 0, which a scenario entry that failed to
+# build carries, and every cell between it and the error stays empty
+_ERROR_ROW_IDS = frozenset(map(str, (0, *_PARADOX_IDS)))
+_ERROR_ROW_EMPTY = REPORT_COLUMNS[REPORT_COLUMNS.index("convention"):-1]
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -249,6 +253,16 @@ def _not_a_report(path: Path, problem: str) -> int:
     return EXIT_INPUT_ERROR
 
 
+def _error_row_problem(row: dict[str, str]) -> str | None:
+    """Why a row with an error is not as ``paradox`` writes one, or None when it is."""
+    if row["paradox_id"] not in _ERROR_ROW_IDS:
+        return f"paradox_id must be 0-{_PARADOX_IDS[-1]} in an error row, got {row['paradox_id']!r}"
+    for column in _ERROR_ROW_EMPTY:
+        if row[column]:
+            return f"{column} must be empty in an error row, got {row[column]!r}"
+    return None
+
+
 def _verdict_problem(row: dict[str, str]) -> str | None:
     """Why a verdict row is not well-formed, or None when it is."""
     for column, (allowed, wording) in _VERDICT_CELLS.items():
@@ -292,7 +306,7 @@ def _run_report(args: argparse.Namespace) -> int:
     if short is not None:
         return _not_a_report(args.input, f"row {short} is missing fields")
     for line, row in enumerate(rows, start=2):
-        problem = None if row["error"] else _verdict_problem(row)
+        problem = _error_row_problem(row) if row["error"] else _verdict_problem(row)
         if problem:
             return _not_a_report(args.input, f"row {line}: {problem}")
     verdicts = []

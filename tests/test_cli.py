@@ -554,7 +554,7 @@ class TestReportVerdictRows:
     )
     def test_malformed_verdict_row_is_rejected(self, tmp_path, capsys, row, problem):
         report = tmp_path / "report.csv"
-        # the error row ahead of it is not checked
+        # the well-formed error row ahead of it passes
         report.write_text(f"{','.join(REPORT_COLUMNS)}\ny,0,,,,,,,,boom\n{row}\n", encoding="utf-8")
         assert main(["report", "--input", str(report)]) == 1
         captured = capsys.readouterr()
@@ -637,6 +637,48 @@ class TestReportVerdictRows:
         assert capsys.readouterr().out == (
             "paradox 0 x: ERROR boom\n1 scenario(s): 0 confirmed, 0 not confirmed, 1 failed\n"
         )
+
+
+class TestReportErrorRows:
+    """A row with an error must carry a paradox id 0-5 and nothing between it and
+    the error, as ``paradox`` writes it."""
+
+    @pytest.mark.parametrize("paradox_id", ["0", "1", "5"])
+    def test_well_formed_error_row_is_accepted(self, tmp_path, capsys, paradox_id):
+        report = tmp_path / "report.csv"
+        report.write_text(
+            f"{','.join(REPORT_COLUMNS)}\nx,{paradox_id},,,,,,,,boom\n", encoding="utf-8"
+        )
+        assert main(["report", "--input", str(report)]) == 0
+        assert capsys.readouterr().out.startswith(f"paradox {paradox_id} x: ERROR boom\n")
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("broken,nan,,inf,,,,,,something failed",
+             "paradox_id must be 0-5 in an error row, got 'nan'"),
+            ("broken,6,,,,,,,,boom", "paradox_id must be 0-5 in an error row, got '6'"),
+            ("broken,,,,,,,,,boom", "paradox_id must be 0-5 in an error row, got ''"),
+            ("broken,2,CostBasedVA,,,,,,,boom",
+             "convention must be empty in an error row, got 'CostBasedVA'"),
+            ("broken,2,,inf,,,,,,boom", "measured_before must be empty in an error row, got 'inf'"),
+            ("broken,2,,,,,1.0,,,boom", "true_after must be empty in an error row, got '1.0'"),
+            ("broken,2,,,,,,false,,boom", "confirmed must be empty in an error row, got 'false'"),
+            ("broken,2,,,,,,,improved,boom",
+             "welfare_direction must be empty in an error row, got 'improved'"),
+        ],
+        ids=[
+            "paradox-nan", "paradox-6", "paradox-empty", "convention", "measured-before",
+            "true-after", "confirmed", "welfare",
+        ],
+    )
+    def test_malformed_error_row_is_rejected(self, tmp_path, capsys, row, problem):
+        report = tmp_path / "report.csv"
+        report.write_text(f"{','.join(REPORT_COLUMNS)}\n{row}\n", encoding="utf-8")
+        assert main(["report", "--input", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{report} is not a paradox report: row 2: {problem}\n"
 
 
 class TestSimulationOutOfRange:
