@@ -14,9 +14,10 @@ The runners compute measured and true TFP before and after, guard the
 preconditions that make each comparison meaningful, and return a
 :class:`ParadoxReport` whose ``paradox_confirmed`` property states the
 paradox: measured TFP fell. Each run evaluates the level-free frontier
-core(x) once per bundle: measured TFP divides by level * core(x) and true
-TFP is that frontier output over core(x), as the library functions
-compute them.
+core(x) once per bundle it measures: measured TFP divides by
+f(x) = level * core(x) and true TFP is f(x) / core(x), the same floats
+that :func:`~pubtfp.measurement.measured_tfp_cost_based` and
+:func:`~pubtfp.technology.true_tfp` compute.
 """
 
 from __future__ import annotations
@@ -260,7 +261,7 @@ def run_paradox_3(
     # the proofs' intermediate inequality: when scaling up, output grows more
     # than proportionally; when scaling down, it shrinks less than
     # proportionally. Both read f(s*b)/f(b) > s.
-    rap_before = before.tfp.denominator  # f(bundle), from the measurement's core
+    rap_before = before.tfp.denominator  # f(bundle) = level * core(bundle)
     output_ratio = mpss.output / rap_before
     if output_ratio <= mpss.scale_factor:
         raise NoConvergenceError(
