@@ -179,100 +179,44 @@ def _entry_identity(entry: Any, position: int, paradox_ids: tuple[int, ...]) -> 
     return name, paradox_id
 
 
-# the plain-scalar tags whose values _build takes from the loader's constructors
-_BUILT_TAGS = frozenset(f"tag:yaml.org,2002:{name}" for name in ("int", "float", "bool", "null"))
-
-
-class _Declined(Exception):
-    """The document uses more of YAML than :func:`_build` reads."""
-
-
-def _unreadable(path: Path, exc: ValueError, where: str = "") -> ScenarioError:
-    return ScenarioError(f"{path}{where}: a value cannot be read: {exc}")
-
-
-def _plain(loader: Any, value: str) -> Any:
-    """A plain scalar's value: its tag and value come from the loader's own tables."""
-    resolvers = loader.yaml_implicit_resolvers
-    for tag, regexp in resolvers.get(value[:1], []) + resolvers.get(None, []):
-        if regexp.match(value):
-            if tag not in _BUILT_TAGS:
-                raise _Declined
-            return loader.yaml_constructors[tag](loader, yaml.ScalarNode(tag, value))
-    return value
-
-
-def _build(loader: Any, path: Path) -> Any:
-    """The one document of a plain YAML stream, built in one pass over its events.
-
-    Untagged mappings, sequences and scalars are read as the loader reads
-    them. Anything more (an anchor, an alias, a tag, a resolved tag other
-    than str/int/float/bool/null, a collection as a mapping key, a second
-    document) raises :class:`_Declined`.
-    """
-    scalar, mapping_start = yaml.ScalarEvent, yaml.MappingStartEvent
-    starts = (mapping_start, yaml.SequenceStartEvent)
-    ends = (yaml.MappingEndEvent, yaml.SequenceEndEvent)
-    get_event = loader.get_event
-    plains: dict[str, Any] = {}  # each distinct plain scalar is resolved once
-    unreadable = None  # the first value that cannot be read, raised once the stream parses
-    stack: list[tuple[list[Any], bool]] = []  # the enclosing collections, innermost last
-    items: list[Any] = []  # the open collection's items; a mapping's go key, value, key, ...
-    in_mapping = False
-    while True:
-        event = get_event()
-        kind = event.__class__
-        if kind is scalar:
-            if event.anchor is not None or event.tag is not None:
-                raise _Declined
-            value = event.value
-            if event.implicit[0]:
-                if value in plains:
-                    value = plains[value]
-                else:
-                    try:
-                        value = plains[value] = _plain(loader, value)
-                    except ValueError as exc:  # an int past int()'s digit limit, ...
-                        where = f", line {event.start_mark.line + 1}"
-                        unreadable = unreadable or _unreadable(path, exc, where)
-            items.append(value)
-        elif kind in starts:
-            if event.anchor is not None or event.tag is not None or (
-                in_mapping and not len(items) % 2  # a collection as a mapping key
-            ):
-                raise _Declined
-            stack.append((items, in_mapping))
-            items, in_mapping = [], kind is mapping_start
-        elif kind in ends:
-            value = dict(zip(items[::2], items[1::2])) if in_mapping else items
-            items, in_mapping = stack.pop()
-            items.append(value)
-        elif kind is yaml.AliasEvent:
-            raise _Declined
-        elif kind is yaml.StreamEndEvent:
-            break
-    if len(items) > 1:
-        raise _Declined
-    if unreadable is not None:
-        raise unreadable
-    return items[0] if items else None
+def _unreadable(path: Path) -> tuple[str, ValueError] | None:
+    """``, line N`` and the error of the first scalar, in file order, whose value
+    cannot be read; ``None`` if every scalar reads. Each node is visited once,
+    since an alias can make the node graph a cycle."""
+    with path.open(encoding="utf-8") as handle:
+        loader = _LOADER(handle)
+        stack = [loader.get_single_node()]
+    seen = set()
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if isinstance(node, yaml.ScalarNode):
+            try:
+                loader.construct_object(node)
+            except ValueError as exc:
+                return f", line {node.start_mark.line + 1}", exc
+            except Exception:  # a rejected tag, ...: not a value error, so not the one to name
+                pass
+        elif isinstance(node, yaml.MappingNode):
+            stack.extend(reversed([child for pair in node.value for child in pair]))
+        else:
+            stack.extend(reversed(node.value))
+    return None
 
 
 def _load_yaml(path: Path) -> Any:
     try:
-        try:
-            with path.open(encoding="utf-8") as handle:
-                return _build(_LOADER(handle), path)
-        except (_Declined, yaml.YAMLError):
-            pass  # the full loader reads the file again and words any error itself
         with path.open(encoding="utf-8") as handle:
             return yaml.load(handle, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path} is not valid YAML: {exc}") from None
     except UnicodeDecodeError:
         raise ScenarioError(_not_utf8(path)) from None
-    except ValueError as exc:  # raised while constructing a value, as in _build
-        raise _unreadable(path, exc) from None
+    except ValueError as exc:  # an int past int()'s digit limit, 0x_, ...
+        where, error = _unreadable(path) or ("", exc)
+        raise ScenarioError(f"{path}{where}: a value cannot be read: {error}") from None
 
 
 def load_scenarios(path: str | Path) -> list[Scenario | FailedScenario]:

@@ -514,8 +514,7 @@ class TestValuesPastTheIntegerDigitLimit:
                 SIMULATION_FILE.read_text(encoding="utf-8").replace("1995", HUGE),
                 ", line 9",
             ),
-            # an anchor sends the file to the full loader, which does not know the line
-            ("paradox", f"scenarios:\n  - name: huge\n    paradox: &id {HUGE}\n", ""),
+            ("paradox", f"scenarios:\n  - name: huge\n    paradox: &id {HUGE}\n", ", line 3"),
         ],
         ids=["paradox", "simulate", "paradox-with-an-anchor"],
     )

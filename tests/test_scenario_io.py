@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,8 @@ from pubtfp.technology import (
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SRC_DIR = Path(scenario_io.__file__).resolve().parent.parent
+HEX = "invalid literal for int() with base 16: ''"
 
 SIM_HEADER = """\
 simulation:
@@ -231,16 +236,6 @@ def generated_scenarios(count):
     return "\n".join(lines) + "\n"
 
 
-def built(path):
-    """What the event builder makes of a file: its document, or ``_Declined``
-    when it leaves the file to the full loader."""
-    with path.open(encoding="utf-8") as handle:
-        try:
-            return scenario_io._build(scenario_io._LOADER(handle), path)
-        except (scenario_io._Declined, yaml.YAMLError):
-            return scenario_io._Declined
-
-
 def bench_shaped_batch(count):
     """Scenarios laid out as the benchmark's batches: folded descriptions, block
     and flow maps, four-digit numbers, and every tenth entry planted to fail."""
@@ -269,7 +264,7 @@ def bench_shaped_batch(count):
 
 
 def _plain_documents():
-    """YAML text of random nested documents in the builder's plain subset."""
+    """YAML text of random nested documents of untagged scalars, lists and maps."""
     tokens = st.sampled_from(
         ["1", "-2", "0.5", "1e3", "1.0e-3", ".inf", "-.Inf", ".NaN", "0x1F", "0o17", "017",
          "1:30", "+12", "1_000", "yes", "No", "off", "true", "False", "~", "null", "abc",
@@ -307,8 +302,8 @@ class TestLoaderParity:
         if name is None:
             assert len(fast["scenarios"]) > 200
 
-    # Documents inside and outside the event builder's plain subset; each must
-    # read exactly as PyYAML's own loader reads it, or fail with its error.
+    # Plain documents and ones with anchors, tags, merge keys and syntax errors;
+    # each must read exactly as PyYAML's own loader reads it, or fail with its error.
     PARITY_SCALARS = _SCALARS + (
         ".inf", "-.Inf", ".NaN", "0o17", "yes", "No", "off", "~", "", "'1.5'", '"017"',
         "'true'", "'~'", "1.0", "-0", "0b101", "190:20:30.15", "12_345", "True", "NULL",
@@ -382,47 +377,53 @@ class TestLoaderParity:
         cause = raised.value.__context__  # the loader's own error, suppressed by `from None`
         assert (type(cause).__name__, str(cause)) == expected
 
-    def test_builder_declines_outside_the_plain_subset(self, tmp_path):
-        declined = {
-            name for name, text in self.PARITY_DOCUMENTS.items()
-            if name != "bad-int" and built(write(tmp_path, text)) is scenario_io._Declined
-        }
-        assert declined == {
-            "merge", "merge-list", "value-key", "complex-key", "mapping-key",
-            "flow-complex-key", "tags", "non-specific-tag", "anchors", "two-documents",
-            "timestamp", "unknown-alias", "python-tag",
-            "scalars", "scalar-list", "scalar-keys",  # each holds a timestamp
-            # syntax errors: the full loader words them
-            "unclosed-flow", "nested-colon", "bad-indent", "tab-indent",
-        }
-
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(document=_plain_documents())
     def test_random_plain_documents_read_as_the_loader_does(self, tmp_path_factory, document):
+        """``_load_yaml`` under libyaml's parser against PyYAML's pure-Python loader."""
+        assert scenario_io._LOADER is yaml.CSafeLoader
         path = tmp_path_factory.mktemp("doc") / "doc.yaml"
         path.write_text(document, encoding="utf-8")
         with path.open(encoding="utf-8") as handle:
-            expected = repr(yaml.load(handle, Loader=scenario_io._LOADER))
+            expected = repr(yaml.load(handle, Loader=yaml.SafeLoader))
         assert repr(scenario_io._load_yaml(path)) == expected
 
 
-class TestBuilderIsUsed:
-    """The shipped files and bench-shaped batches never fall back to the full loader."""
+def test_bench_shaped_batch_fails_every_tenth_entry(tmp_path):
+    loaded = load_scenarios(write(tmp_path, bench_shaped_batch(250)))
+    assert len(loaded) == 250
+    assert sum(isinstance(s, FailedScenario) for s in loaded) == 25
 
-    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.name)
-    def test_shipped_files(self, path):
-        assert built(path) is not scenario_io._Declined
 
-    def test_bench_shaped_batch(self, tmp_path, monkeypatch):
-        path = write(tmp_path, bench_shaped_batch(250))
-        expected = load_scenarios(path)
-        assert sum(isinstance(s, FailedScenario) for s in expected) == 25
+class TestUnreadableValueLines:
+    """A value that int() or float() rejects is named by the line of the first such
+    scalar in file order, and the run exits 1 without a traceback."""
 
-        def full_loader(*args, **kwargs):
-            raise AssertionError("the full loader ran")
-
-        monkeypatch.setattr(scenario_io.yaml, "load", full_loader)
-        assert load_scenarios(path) == expected
+    @pytest.mark.parametrize(
+        "text, line, error",
+        [
+            # the loader meets b's value first; the file meets the list's item first
+            ("a:\n  - 0x_\nb: 0b_\n", 2, HEX),
+            ("{0x_: 1}\n", 1, HEX),
+            ("a: &r [1, *r, 0x_]\n", 1, HEX),
+            # the rejected tag is skipped, not raised
+            ("a: [!!python/name:os.system ]\nb: 0x_\n", 2, HEX),
+            ("a: !!float abc\n", 1, "could not convert string to float: 'abc'"),
+        ],
+        ids=["two-values", "mapping-key", "recursive-alias", "rejected-tag", "tagged-float"],
+    )
+    def test_the_first_unreadable_scalar_is_named(self, tmp_path, text, line, error):
+        source = write(tmp_path, text)
+        proc = subprocess.run(  # a fresh interpreter, so a traceback shows in stderr
+            [sys.executable, "-m", "pubtfp.cli", "paradox", "--input", str(source),
+             "--output", str(tmp_path / "report.csv")],
+            capture_output=True, text=True, timeout=60,  # a walk that loops on the alias fails
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])
+            )),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"pubtfp: {source}, line {line}: a value cannot be read: {error}\n"
 
 
 def test_pure_python_loader_gives_equal_scenarios(tmp_path, monkeypatch):
