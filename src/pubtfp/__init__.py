@@ -21,8 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "technology": (
         "InputBundle", "FactorPrices", "TechnologyShift", "Technology", "CobbDouglas", "Ces",
-        "HomotheticTranslog", "TwoLevelCes", "evaluate", "marginal_products", "mrts",
-        "scale_elasticity", "true_tfp",
+        "HomotheticTranslog", "TwoLevelCes", "mrts", "true_tfp",
     ),
     "efficiency": (
         "CostMinResult", "MpssResult", "min_cost_bundle", "allocative_gap", "find_mpss",

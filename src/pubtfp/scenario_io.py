@@ -43,6 +43,9 @@ __all__ = [*_EXPORTS["scenario_io"]]
 # libyaml's parser when PyYAML was built with it; both loaders share the
 # Python resolver and SafeConstructor, so they build equal documents.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# besides ValueError, what SafeConstructor raises on a malformed tagged scalar: !!bool abc,
+# !!int "" or !!float "", !!timestamp abc
+_MALFORMED_TAGGED = (KeyError, IndexError, AttributeError)
 
 _FAMILIES: dict[str, type[Technology]] = {
     cls.family: cls for cls in (CobbDouglas, Ces, HomotheticTranslog, TwoLevelCes)
@@ -179,8 +182,8 @@ def _entry_identity(entry: Any, position: int, paradox_ids: tuple[int, ...]) -> 
     return name, paradox_id
 
 
-def _unreadable(path: Path) -> tuple[str, ValueError] | None:
-    """``, line N`` and the error of the first scalar, in file order, whose value
+def _unreadable(path: Path) -> tuple[str, str] | None:
+    """``, line N`` and the error text of the first scalar, in file order, whose value
     cannot be read; ``None`` if every scalar reads. Each node is visited once,
     since an alias can make the node graph a cycle."""
     with path.open(encoding="utf-8") as handle:
@@ -195,8 +198,10 @@ def _unreadable(path: Path) -> tuple[str, ValueError] | None:
         if isinstance(node, yaml.ScalarNode):
             try:
                 loader.construct_object(node)
-            except ValueError as exc:
-                return f", line {node.start_mark.line + 1}", exc
+            except (ValueError, *_MALFORMED_TAGGED) as exc:
+                tag = node.tag.replace("tag:yaml.org,2002:", "!!")
+                text = str(exc) if isinstance(exc, ValueError) else f"{tag} {node.value!r}"
+                return f", line {node.start_mark.line + 1}", text
             except Exception:  # a rejected tag, ...: not a value error, so not the one to name
                 pass
         elif isinstance(node, yaml.MappingNode):
@@ -214,7 +219,7 @@ def _load_yaml(path: Path) -> Any:
         raise ScenarioError(f"{path} is not valid YAML: {exc}") from None
     except UnicodeDecodeError:
         raise ScenarioError(_not_utf8(path)) from None
-    except ValueError as exc:  # an int past int()'s digit limit, 0x_, ...
+    except (ValueError, *_MALFORMED_TAGGED) as exc:  # an int past int()'s digit limit, 0x_, ...
         where, error = _unreadable(path) or ("", exc)
         raise ScenarioError(f"{path}{where}: a value cannot be read: {error}") from None
 

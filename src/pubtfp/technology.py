@@ -94,6 +94,14 @@ def _ces(weight: float, a: float, b: float, rho: float, degree: float) -> float:
     return _ces_sum(weight, a, b, rho) ** (degree / rho)
 
 
+def _ces_gradient(
+    scale: float, weight: float, a: float, b: float, rho: float, degree: float
+) -> tuple[float, float]:
+    """The partial derivatives in a and b of ``scale * _ces(...)`` at a, b > 0."""
+    common = scale * degree * _ces_sum(weight, a, b, rho) ** (degree / rho - 1.0)
+    return (common * weight * a ** (rho - 1.0), common * (1.0 - weight) * b ** (rho - 1.0))
+
+
 @dataclass(frozen=True, slots=True)
 class InputBundle:
     """Real input quantities: capital services, labor, optional intermediates."""
@@ -275,12 +283,8 @@ class Ces(Technology):
 
     def marginal_products(self, bundle: InputBundle) -> tuple[float, float]:
         self._check_interior(bundle)
-        rho = self.substitution
-        inner = _ces_sum(self.capital_weight, bundle.capital, bundle.labor, rho)
-        common = self.level * self.returns_to_scale * inner ** (self.returns_to_scale / rho - 1.0)
-        mp_k = common * self.capital_weight * bundle.capital ** (rho - 1.0)
-        mp_l = common * (1.0 - self.capital_weight) * bundle.labor ** (rho - 1.0)
-        return (mp_k, mp_l)
+        d, rho, degree = self.capital_weight, self.substitution, self.returns_to_scale
+        return _ces_gradient(self.level, d, bundle.capital, bundle.labor, rho, degree)
 
     def scale_elasticity(self, bundle: InputBundle) -> float:
         self._check_interior(bundle)
@@ -381,34 +385,20 @@ class TwoLevelCes(Technology):
         h, rho, degree = self._aggregate(bundle), self.outer_substitution, self.returns_to_scale
         return _ces(self.value_added_weight, h, bundle.intermediates, rho, degree)
 
-    def marginal_products(self, bundle: InputBundle) -> tuple[float, float]:
+    def _outer_gradient(self, bundle: InputBundle) -> tuple[float, float]:
+        """(df/dh, df/dM) at the capital-labor aggregate h."""
         self._check_interior(bundle)
-        h = self._aggregate(bundle)
-        rho1, rho2 = self.inner_substitution, self.outer_substitution
-        outer = _ces_sum(self.value_added_weight, h, bundle.intermediates, rho2)
-        common = (
-            self.level
-            * self.returns_to_scale
-            * self.value_added_weight
-            * h ** (rho2 - rho1)
-            * outer ** (self.returns_to_scale / rho2 - 1.0)
-        )
-        mp_k = common * self.capital_weight * bundle.capital ** (rho1 - 1.0)
-        mp_l = common * (1.0 - self.capital_weight) * bundle.labor ** (rho1 - 1.0)
-        return (mp_k, mp_l)
+        d, h = self.value_added_weight, self._aggregate(bundle)
+        rho, degree = self.outer_substitution, self.returns_to_scale
+        return _ces_gradient(self.level, d, h, bundle.intermediates, rho, degree)
+
+    def marginal_products(self, bundle: InputBundle) -> tuple[float, float]:
+        df_dh = self._outer_gradient(bundle)[0]  # chain rule: df/dK = df/dh * dh/dK
+        d, rho = self.capital_weight, self.inner_substitution
+        return _ces_gradient(df_dh, d, bundle.capital, bundle.labor, rho, 1.0)
 
     def marginal_product_intermediates(self, bundle: InputBundle) -> float:
-        self._check_interior(bundle)
-        h = self._aggregate(bundle)
-        rho2 = self.outer_substitution
-        outer = _ces_sum(self.value_added_weight, h, bundle.intermediates, rho2)
-        return (
-            self.level
-            * self.returns_to_scale
-            * (1.0 - self.value_added_weight)
-            * bundle.intermediates ** (rho2 - 1.0)
-            * outer ** (self.returns_to_scale / rho2 - 1.0)
-        )
+        return self._outer_gradient(bundle)[1]
 
     def scale_elasticity(self, bundle: InputBundle) -> float:
         self._check_interior(bundle)
@@ -420,25 +410,10 @@ class TwoLevelCes(Technology):
 # ---------------------------------------------------------------------------
 
 
-def evaluate(tech: Technology, bundle: InputBundle) -> float:
-    """Maximum attainable output of ``tech`` at ``bundle`` (level included)."""
-    return tech.output(bundle)
-
-
-def marginal_products(tech: Technology, bundle: InputBundle) -> tuple[float, float]:
-    """Analytic marginal products (df/dK, df/dL); requires an interior bundle."""
-    return tech.marginal_products(bundle)
-
-
 def mrts(tech: Technology, bundle: InputBundle) -> float:
     """Marginal rate of technical substitution df/dK divided by df/dL."""
     mp_k, mp_l = tech.marginal_products(bundle)
     return mp_k / mp_l
-
-
-def scale_elasticity(tech: Technology, bundle: InputBundle) -> float:
-    """Local returns to scale along the ray through ``bundle``."""
-    return tech.scale_elasticity(bundle)
 
 
 def true_tfp(observed_output: float, tech: Technology, bundle: InputBundle) -> float:
@@ -446,7 +421,7 @@ def true_tfp(observed_output: float, tech: Technology, bundle: InputBundle) -> f
 
     The denominator is evaluated with the Hicks-neutral level forced to 1,
     so a technology's own level is recovered rather than double-counted:
-    ``true_tfp(evaluate(tech, b), tech, b) == tech.level``.
+    ``true_tfp(tech.output(b), tech, b) == tech.level``.
     """
     observed_output = _require_positive("observed_output", observed_output)
     denominator = tech.core_output(bundle)

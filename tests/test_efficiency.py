@@ -19,7 +19,6 @@ from pubtfp.technology import (
     InputBundle,
     TechnologyShift,
     TwoLevelCes,
-    evaluate,
     mrts,
 )
 
@@ -68,7 +67,7 @@ class TestCobbDouglasMinCost:
         tech = CobbDouglas(alpha_capital=0.4, alpha_labor=0.8, level=1.5)
         prices = FactorPrices(1.7, 0.6)
         result = min_cost_bundle(tech, prices, 3.0)
-        assert evaluate(tech, result.bundle) == pytest.approx(3.0, rel=1e-12)
+        assert tech.output(result.bundle) == pytest.approx(3.0, rel=1e-12)
         assert mrts(tech, result.bundle) == pytest.approx(1.7 / 0.6, rel=1e-12)
 
     def test_cost_scales_linearly_under_constant_returns(self):
@@ -87,7 +86,7 @@ class TestCobbDouglasMinCost:
         assert result.bundle.capital == pytest.approx(0.8913012289830017, rel=1e-12)
         assert result.bundle.labor == pytest.approx(1.1884016386440022, rel=1e-12)
         assert result.bundle.intermediates == pytest.approx(0.8913012289830017, rel=1e-12)
-        assert evaluate(tech, result.bundle) == pytest.approx(2.0, rel=1e-12)
+        assert tech.output(result.bundle) == pytest.approx(2.0, rel=1e-12)
 
     def test_gross_output_requires_an_intermediates_price(self):
         tech = CobbDouglas(
@@ -113,7 +112,7 @@ class TestCesMinCost:
         assert result.cost == pytest.approx(8.356921938165307, rel=1e-9)
         ratio = result.bundle.capital / result.bundle.labor
         assert ratio == pytest.approx(0.5773502691896258, rel=1e-9)
-        assert evaluate(tech, result.bundle) == pytest.approx(3.0, rel=1e-9)
+        assert tech.output(result.bundle) == pytest.approx(3.0, rel=1e-9)
 
     def test_decreasing_returns_instance(self):
         tech = Ces(capital_weight=0.4, substitution=-1.0, returns_to_scale=0.8)
@@ -139,7 +138,7 @@ class TestCesMinCost:
         result = min_cost_bundle(tech, FactorPrices(math.exp(log_price_ratio), 1.0), 1.0)
         log_ratio = math.log(result.bundle.capital / result.bundle.labor)
         assert log_ratio == pytest.approx(-log_price_ratio / 2.0, rel=1e-12)
-        assert evaluate(tech, result.bundle) == pytest.approx(1.0, rel=1e-12)
+        assert tech.output(result.bundle) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("log_price_ratio", [80.1, -80.1])
     def test_ratio_just_outside_the_bracket_fails_loudly(self, log_price_ratio):
@@ -153,7 +152,7 @@ class TestTranslogMinCost:
 
     def test_reaches_the_isoquant(self):
         result = min_cost_bundle(self.tech, FactorPrices(1.0, 2.0), 1.5)
-        assert evaluate(self.tech, result.bundle) == pytest.approx(1.5, rel=1e-9)
+        assert self.tech.output(result.bundle) == pytest.approx(1.5, rel=1e-9)
         assert mrts(self.tech, result.bundle) == pytest.approx(0.5, rel=1e-9)
 
     def test_unattainable_target_names_the_frontier_maximum(self):
@@ -162,16 +161,16 @@ class TestTranslogMinCost:
         with pytest.raises(DomainError, match="frontier maximum"):
             min_cost_bundle(self.tech, UNIT_PRICES, ceiling * 1.01)
         result = min_cost_bundle(self.tech, UNIT_PRICES, ceiling * 0.99)
-        assert evaluate(self.tech, result.bundle) == pytest.approx(
+        assert self.tech.output(result.bundle) == pytest.approx(
             ceiling * 0.99, rel=1e-9
         )
 
     def test_flat_translog_reaches_the_isoquant_exactly(self):
         # curvature 0: the isoquant's log core index is ln(target)/slope, no quadratic root
         flat = HomotheticTranslog(inner_alpha_capital=0.3, slope=1.1, curvature=0.0)
-        target = evaluate(flat, InputBundle(3.0, 1.0))
+        target = flat.output(InputBundle(3.0, 1.0))
         result = min_cost_bundle(flat, FactorPrices(1.0, 2.0), target)
-        assert evaluate(flat, result.bundle) == target
+        assert flat.output(result.bundle) == target
         assert mrts(flat, result.bundle) == pytest.approx(0.5, rel=1e-15)
 
     def test_unsupported_family_is_refused(self):
@@ -190,7 +189,7 @@ class TestClosedFormProperties:
     @given(tech=ces_technologies, prices=factor_prices, target=st.floats(0.1, 10.0))
     def test_ces_optimum_is_on_the_isoquant_with_mrts_at_price_ratio(self, tech, prices, target):
         result = min_cost_bundle(tech, prices, target)
-        assert evaluate(tech, result.bundle) == pytest.approx(target, rel=1e-12)
+        assert tech.output(result.bundle) == pytest.approx(target, rel=1e-12)
         ratio = prices.capital_price / prices.wage
         assert mrts(tech, result.bundle) == pytest.approx(ratio, rel=1e-12)
 
@@ -202,7 +201,7 @@ class TestClosedFormProperties:
         # log targets up to 99% of the frontier maximum -slope^2/(4 curvature)
         target = tech.level * math.exp(-share * tech.slope**2 / (4.0 * tech.curvature))
         result = min_cost_bundle(tech, prices, target)
-        assert evaluate(tech, result.bundle) == pytest.approx(target, rel=1e-12)
+        assert tech.output(result.bundle) == pytest.approx(target, rel=1e-12)
         ratio = prices.capital_price / prices.wage
         assert mrts(tech, result.bundle) == pytest.approx(ratio, rel=1e-12)
 
@@ -275,7 +274,7 @@ class TestFindMpss:
         base = InputBundle(2.0, 0.5)
         for factor in (0.9, 0.999, 1.001, 1.1):
             s = result.scale_factor * factor
-            rap = evaluate(self.tech, base.scaled(s)) / s
+            rap = self.tech.output(base.scaled(s)) / s
             assert rap <= result.ray_average_product * (1.0 + 1e-12)
 
     def test_constant_elasticity_families_have_no_interior_peak(self):
@@ -343,4 +342,4 @@ class TestApplyTechnicalProgress:
         better = apply_technical_progress(tech, TechnologyShift(3.0))
         b = InputBundle(2.0, 3.0)
         assert mrts(better, b) == pytest.approx(mrts(tech, b), rel=1e-14)
-        assert evaluate(better, b) == pytest.approx(3.0 * evaluate(tech, b), rel=1e-14)
+        assert better.output(b) == pytest.approx(3.0 * tech.output(b), rel=1e-14)

@@ -72,7 +72,7 @@ def home_module(name: str):
 class TestExports:
     def test_every_exported_name_is_its_home_modules_object(self):
         names = [name for name in pubtfp.__all__ if name != "__version__"]
-        assert len(names) == len(set(names)) == 73
+        assert len(names) == len(set(names)) == 70
         for name in names:
             assert getattr(pubtfp, name) is getattr(home_module(name), name), name
 
@@ -101,6 +101,13 @@ class TestExports:
             "assert technology is sys.modules['pubtfp.technology']"
         )
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("name", ["evaluate", "marginal_products", "scale_elasticity"])
+    def test_technology_has_no_module_level_method_delegates(self, name):
+        # callers use tech.output(b), tech.marginal_products(b), tech.scale_elasticity(b)
+        assert not hasattr(importlib.import_module("pubtfp.technology"), name)
+        with pytest.raises(ImportError, match=name):
+            exec(f"from pubtfp import {name}", {})
 
     def test_unknown_names_are_attribute_errors(self):
         assert not hasattr(pubtfp, "no_such_name")

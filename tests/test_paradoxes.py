@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import pytest
 
 import pubtfp.efficiency
 import pubtfp.paradoxes
+from pubtfp.cli import main
 from pubtfp.errors import (
     AlreadyEfficientError,
     DomainError,
@@ -407,6 +409,25 @@ class TestScaleParadox:
         assert str(info.value) == text
         (outcome,) = run_all([Scenario("no-m", 3, tech, bundle, prices=UNIT_PRICES)])
         assert (outcome.error, outcome.error_kind) == (text, "input")
+
+    def test_move_whose_output_ratio_does_not_exceed_its_scale_is_internal(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # find_mpss never returns such a move; this one clears the fixed-point window
+        # and the bill range, so only the runner's own guard can stop it
+        moved = UNIT_BUNDLE.scaled(2.0)
+        flat = pubtfp.efficiency.MpssResult(2.0, moved, 2.0, 1.0, 1.0)
+        monkeypatch.setattr(pubtfp.paradoxes, "find_mpss", lambda tech, bundle: flat)
+        text = "scale move is not productivity-improving: output ratio 2.0 at scale factor 2.0"
+        with pytest.raises(NoConvergenceError) as info:
+            run_paradox_3(TRANSLOG, UNIT_PRICES, UNIT_BUNDLE)
+        assert str(info.value) == text
+        (outcome,) = run_all([Scenario("flat", 3, TRANSLOG, UNIT_BUNDLE, prices=UNIT_PRICES)])
+        assert (outcome.error, outcome.error_kind) == (text, "internal")
+        # the shipped file's paradox 3 entry is this scenario
+        shipped = Path(__file__).resolve().parent.parent / "scenarios" / "paradoxes.yaml"
+        assert main(["paradox", "--input", str(shipped), "--output", str(tmp_path / "r.csv")]) == 2
+        assert f"paradox 3 scale-to-best: ERROR {text}\n" in capsys.readouterr().out
 
     def test_constant_elasticity_technology_has_no_scale_move(self):
         flat = HomotheticTranslog(inner_alpha_capital=0.5, slope=0.8, curvature=0.0)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pubtfp import scenario_io
+from pubtfp.cli import main
 from pubtfp.errors import InvalidParameterError, ScenarioError
 from pubtfp.paradoxes import FailedScenario, Scenario, run_all
 from pubtfp.scenario_io import load_scenarios, load_simulation
@@ -424,6 +425,30 @@ class TestUnreadableValueLines:
         )
         assert proc.returncode == 1
         assert proc.stderr == f"pubtfp: {source}, line {line}: a value cannot be read: {error}\n"
+
+
+class TestMalformedTaggedScalars:
+    """SafeConstructor raises KeyError, IndexError or AttributeError, not ValueError, on
+    these scalars; each is named by its tag and value, with exit 1 and no traceback."""
+
+    @pytest.mark.parametrize("command, key", [("paradox", "a"), ("simulate", "simulation")])
+    @pytest.mark.parametrize(
+        "value, named",
+        [
+            ("!!bool abc", "!!bool 'abc'"),  # KeyError
+            ('!!int ""', "!!int ''"),  # IndexError
+            ('!!float ""', "!!float ''"),  # IndexError
+            ("!!timestamp abc", "!!timestamp 'abc'"),  # AttributeError
+        ],
+        ids=["bool", "int", "float", "timestamp"],
+    )
+    def test_the_tag_and_value_are_named(self, tmp_path, capsys, command, key, value, named):
+        source = write(tmp_path, f"{key}: {value}\n")
+        code = main([command, "--input", str(source), "--output", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"pubtfp: {source}, line 1: a value cannot be read: {named}\n"
+        )
 
 
 def test_pure_python_loader_gives_equal_scenarios(tmp_path, monkeypatch):
